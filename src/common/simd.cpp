@@ -86,16 +86,6 @@ void pack_compare_trace_scalar(const std::uint32_t* raw,
   }
 }
 
-void pack_compare_trace_u8_scalar(const std::uint8_t* raw,
-                                  const std::uint16_t* thresh, std::size_t n,
-                                  std::uint64_t* words) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool bit = static_cast<std::int32_t>(raw[i]) <
-                     static_cast<std::int32_t>(thresh[i]);
-    words[i >> 6] |= static_cast<std::uint64_t>(bit) << (i & 63);
-  }
-}
-
 void shuffle_words_scalar(std::uint64_t* words, const std::uint8_t* r,
                           std::size_t n, unsigned depth,
                           std::uint64_t* slots) {
@@ -238,52 +228,6 @@ void pack_compare_trace_avx512(const std::uint32_t* raw,
   }
   if (i < n) {
     pack_compare_trace_scalar(raw + i, thresh + i, n - i, words + (i >> 6));
-  }
-}
-
-__attribute__((target("avx2,bmi2")))
-void pack_compare_trace_u8_avx2(const std::uint8_t* raw,
-                                const std::uint16_t* thresh, std::size_t n,
-                                std::uint64_t* words) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    std::uint64_t w = 0;
-    for (unsigned k = 0; k < 64; k += 16) {
-      const __m256i v = _mm256_cvtepu8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(raw + i + k)));
-      const __m256i t = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(thresh + i + k));
-      const auto m = static_cast<std::uint32_t>(
-          _mm256_movemask_epi8(_mm256_cmpgt_epi16(t, v)));
-      // movemask reports per byte; keep one bit per 16-bit lane.
-      w |= _pext_u64(m, 0xAAAAAAAAu) << k;
-    }
-    words[i >> 6] |= w;
-  }
-  if (i < n) {
-    pack_compare_trace_u8_scalar(raw + i, thresh + i, n - i, words + (i >> 6));
-  }
-}
-
-__attribute__((target("avx512f,avx512bw")))
-void pack_compare_trace_u8_avx512(const std::uint8_t* raw,
-                                  const std::uint16_t* thresh, std::size_t n,
-                                  std::uint64_t* words) {
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    std::uint64_t w = 0;
-    for (unsigned k = 0; k < 64; k += 32) {
-      const __m512i v = _mm512_cvtepu8_epi16(_mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(raw + i + k)));
-      const __m512i t = _mm512_loadu_si512(thresh + i + k);
-      w |= static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-               _mm512_cmpgt_epi16_mask(t, v)))
-           << k;
-    }
-    words[i >> 6] |= w;
-  }
-  if (i < n) {
-    pack_compare_trace_u8_scalar(raw + i, thresh + i, n - i, words + (i >> 6));
   }
 }
 
@@ -476,21 +420,6 @@ void pack_compare_trace(const std::uint32_t* raw, const std::uint16_t* thresh,
   }
 }
 
-void pack_compare_trace_u8(const std::uint8_t* raw,
-                           const std::uint16_t* thresh, std::size_t n,
-                           std::uint64_t* words) {
-  switch (active_tier()) {
-#if SC_SIMD_X86
-    case Tier::kAvx512:
-      return pack_compare_trace_u8_avx512(raw, thresh, n, words);
-    case Tier::kAvx2:
-      return pack_compare_trace_u8_avx2(raw, thresh, n, words);
-#endif
-    default:
-      return pack_compare_trace_u8_scalar(raw, thresh, n, words);
-  }
-}
-
 void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
                std::uint64_t value_bound, std::uint8_t* out) {
   if (bound == 1) {
@@ -515,27 +444,6 @@ void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
   (void)value_bound;
 #endif
   mod_bytes_scalar(vals, n, bound, out);
-}
-
-void or_copy_bits(std::uint64_t* dst, std::size_t dst_bit0,
-                  const std::uint64_t* src, std::size_t src_bit0,
-                  std::size_t nbits) {
-  while (nbits != 0) {
-    const std::size_t dw = dst_bit0 >> 6;
-    const auto doff = static_cast<unsigned>(dst_bit0 & 63);
-    const std::size_t take = std::size_t{64} - doff < nbits
-                                 ? std::size_t{64} - doff
-                                 : nbits;
-    const std::size_t sw = src_bit0 >> 6;
-    const auto soff = static_cast<unsigned>(src_bit0 & 63);
-    std::uint64_t bits = src[sw] >> soff;
-    if (soff != 0 && soff + take > 64) bits |= src[sw + 1] << (64 - soff);
-    if (take != 64) bits &= (std::uint64_t{1} << take) - 1;
-    dst[dw] |= bits << doff;
-    dst_bit0 += take;
-    src_bit0 += take;
-    nbits -= take;
-  }
 }
 
 void shuffle_words(std::uint64_t* words, const std::uint8_t* r, std::size_t n,

@@ -17,11 +17,8 @@ Sng::Sng(rng::RandomSourcePtr source)
 
 Bitstream Sng::generate(std::uint64_t level, std::size_t n) {
   assert(level <= natural_length_);
-  Bitstream out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(source_->next() < level);
-  }
+  Bitstream out(n);
+  source_->fill_compare(out.word_data(), n, level);
   return out;
 }
 

@@ -62,8 +62,8 @@ class ChunkSource {
 /// Fig. 2g generator, produced lazily so the stream never materializes.
 /// Each chunk is packed by one RandomSource::fill_compare call, so
 /// generation rides the source's word API (SIMD-packed block fills, or
-/// ring replay for LFSRs) and keeps pace with the word-parallel kernels
-/// downstream.
+/// shared-orbit replay for LFSRs) and keeps pace with the word-parallel
+/// kernels downstream.
 class SngChunkSource final : public ChunkSource {
  public:
   /// \param source owned RNG; \param level in [0, 2^source->width()] —

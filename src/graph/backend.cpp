@@ -271,9 +271,9 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
   // 64-bit: `1u << 32` is UB and a uint32 period wraps to 0 at width 32.
   const std::uint64_t natural = std::uint64_t{1} << config.width;
 
-  // --- group traces -------------------------------------------------------
+  // --- group traces (reference path: the per-cycle comparator oracle) ----
   std::map<unsigned, std::vector<std::uint32_t>> traces;
-  {
+  if (!kernel_path) {
     obs::Span trace_span(tracer, "backend.group_traces", "backend");
     for (NodeId id = 0; id < program.node_count(); ++id) {
       const ProgramNode& node = program.node(id);
@@ -299,10 +299,18 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
         node.kind == ProgramNode::Kind::kOp ? "node.op" : "node.source");
     if (node.kind != ProgramNode::Kind::kOp) {
       const std::uint64_t level = unipolar_level64(node.value, natural);
-      const auto& trace = traces.at(node.rng_group);
       Bitstream stream(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (trace[i] < level) stream.set(i, true);
+      if (kernel_path) {
+        // Every source of a group replays the same seeded sequence, so a
+        // fresh register per source packs exactly the group trace's bits.
+        rng::Lfsr(config.width,
+                  derive_seed32(config.seed, node.rng_group, Role::kGroupTrace))
+            .fill_compare(stream.word_data(), n, level);
+      } else {
+        const auto& trace = traces.at(node.rng_group);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (trace[i] < level) stream.set(i, true);
+        }
       }
       result.streams[id] = std::move(stream);
       fault::apply_edge_faults(faults, id, result.streams[id], 0);
@@ -437,9 +445,6 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
   run_span.arg("nodes", static_cast<std::uint64_t>(program.node_count()));
   run_span.arg("stream_bits",
                static_cast<std::uint64_t>(config.stream_length));
-  run_span.arg("threads",
-               static_cast<std::uint64_t>(
-                   session != nullptr ? session->threads() : 1));
   const fault::ResolvedFaultPlan faults =
       fault::resolve(config.fault_plan, program, &plan, telemetry);
   const std::size_t n = config.stream_length;
@@ -460,49 +465,37 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
 
   // --- per-node state -----------------------------------------------------
   std::vector<ChunkNodeState> states(program.node_count());
-  std::vector<std::vector<NodeId>> levels;  // topological level -> nodes
-  {
-    std::vector<unsigned> level_of(program.node_count(), 0);
-    for (NodeId id = 0; id < program.node_count(); ++id) {
-      const ProgramNode& node = program.node(id);
-      ChunkNodeState& state = states[id];
-      if (node.kind != ProgramNode::Kind::kOp) {
-        state.source = std::make_unique<engine::SngChunkSource>(
-            std::make_unique<rng::Lfsr>(
-                config.width, derive_seed32(config.seed, node.rng_group,
-                                            Role::kGroupTrace)),
-            unipolar_level64(node.value, natural), n);
-        level_of[id] = 0;
-      } else {
-        unsigned level = 0;
-        for (NodeId operand : node.operands) {
-          level = std::max(level, level_of[operand] + 1);
-        }
-        level_of[id] = level;
-        state.fixes = plan.fixes_for(id);
-        for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
-          // Wrapped fix FSMs (fault plans) have no table kernel; the
-          // applier below steps them bit-serially with state carried
-          // across chunks, landing the corruption on the same absolute
-          // cycle as the whole-stream backends.
-          state.fix_transforms.push_back(fault::wrap_fsm_faults(
-              make_fix_transform(state.fixes[lane]->fix, config,
-                                 node.seed_tag, fix_lane(*state.fixes[lane])),
-              faults, id, static_cast<unsigned>(lane)));
-          auto applier = std::make_unique<kernel::ChunkedPairApplier>(
-              *state.fix_transforms.back());
-          applier->begin(n);
-          state.fix_appliers.push_back(std::move(applier));
-        }
-        state.evaluator = program.def_of(id).make_evaluator(
-            context_for(program, id, config));
-        state.evaluator->begin(n);
-        state.fixed_slots = fixed_slots_of(state.fixes);
-        state.scratch.resize(state.fixed_slots.size());
-        state.operand_chunks.resize(node.operands.size());
+  for (NodeId id = 0; id < program.node_count(); ++id) {
+    const ProgramNode& node = program.node(id);
+    ChunkNodeState& state = states[id];
+    if (node.kind != ProgramNode::Kind::kOp) {
+      state.source = std::make_unique<engine::SngChunkSource>(
+          std::make_unique<rng::Lfsr>(
+              config.width, derive_seed32(config.seed, node.rng_group,
+                                          Role::kGroupTrace)),
+          unipolar_level64(node.value, natural), n);
+    } else {
+      state.fixes = plan.fixes_for(id);
+      for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
+        // Wrapped fix FSMs (fault plans) have no table kernel; the
+        // applier below steps them bit-serially with state carried
+        // across chunks, landing the corruption on the same absolute
+        // cycle as the whole-stream backends.
+        state.fix_transforms.push_back(fault::wrap_fsm_faults(
+            make_fix_transform(state.fixes[lane]->fix, config,
+                               node.seed_tag, fix_lane(*state.fixes[lane])),
+            faults, id, static_cast<unsigned>(lane)));
+        auto applier = std::make_unique<kernel::ChunkedPairApplier>(
+            *state.fix_transforms.back());
+        applier->begin(n);
+        state.fix_appliers.push_back(std::move(applier));
       }
-      if (level_of[id] >= levels.size()) levels.resize(level_of[id] + 1);
-      levels[level_of[id]].push_back(id);
+      state.evaluator = program.def_of(id).make_evaluator(
+          context_for(program, id, config));
+      state.evaluator->begin(n);
+      state.fixed_slots = fixed_slots_of(state.fixes);
+      state.scratch.resize(state.fixed_slots.size());
+      state.operand_chunks.resize(node.operands.size());
     }
   }
 
@@ -511,8 +504,6 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
   const auto advance_node = [&](NodeId id, std::size_t take,
                                 std::size_t offset) {
     const ProgramNode& node = program.node(id);
-    // Recorded from whichever pool worker advances the node, so the trace
-    // timeline shows per-chunk activity fanned across threads.
     obs::Span node_span(
         tracer, node.name.empty() ? "node#" + std::to_string(id) : node.name,
         "chunk");
@@ -566,16 +557,14 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
     obs::Span chunk_span(tracer, "engine.chunk", "engine");
     chunk_span.arg("offset", static_cast<std::uint64_t>(offset));
     chunk_span.arg("bits", static_cast<std::uint64_t>(take));
-    for (const std::vector<NodeId>& level : levels) {
-      // Nodes of one level only read lower-level chunks, so they advance
-      // independently; fan them across the session pool when it helps.
-      if (session != nullptr && session->threads() > 1 && level.size() > 1) {
-        session->runner().for_each(level.size(), [&](std::size_t i) {
-          advance_node(level[i], take, offset);
-        });
-      } else {
-        for (NodeId id : level) advance_node(id, take, offset);
-      }
+    // Node ids are topological, so one pass in id order advances every
+    // operand's chunk before its consumers read it.  The run stays on the
+    // calling thread: with word-parallel evaluators a topological level of
+    // one chunk is tens of microseconds of work, less than a pool hand-off
+    // plus the wait for the slowest worker's wake-up.  A session's threads
+    // parallelize independent runs (Session::map).
+    for (NodeId id = 0; id < program.node_count(); ++id) {
+      advance_node(id, take, offset);
     }
     // The live tap: every node's chunk of this offset is still resident,
     // so probes observe internal edges as the stream advances.

@@ -13,8 +13,7 @@
 ///    fixed-size chunk at a time with FSM/evaluator state carried across
 ///    chunk boundaries, so arbitrarily long streams execute in O(nodes x
 ///    chunk) memory (set ExecConfig::keep_streams = false); optionally
-///    bound to an engine::Session whose pool fans independent nodes of
-///    each topological level and whose chunk size / accounting it uses.
+///    bound to an engine::Session whose chunk size / accounting it uses.
 ///    Regeneration fixes are inherently stream-wide (they count the whole
 ///    operand before re-encoding), so plans containing them fall back to
 ///    whole-stream execution.
@@ -130,16 +129,14 @@ class ExecutorBackend {
 
 enum class BackendKind { kReference, kKernel, kEngine };
 
-/// Creates a backend.  kEngine made this way runs unthreaded with the
-/// default chunk size; bind a session with make_engine_backend for pooled
-/// execution.
+/// Creates a backend.  kEngine made this way uses the default chunk size;
+/// bind a session with make_engine_backend to use the session's.
 std::unique_ptr<ExecutorBackend> make_backend(BackendKind kind);
 
-/// Engine backend bound to a session: uses its chunk size, fans the nodes
-/// of each topological level across its pool, and records chunked-run
-/// stats.  The session must outlive the backend.  Do not call run() from
-/// inside one of the same session's jobs (the fan-out would self-deadlock
-/// on the pool).
+/// Engine backend bound to a session: uses its chunk size and records
+/// chunked-run stats.  Each run() advances on the calling thread, so it
+/// may be called from the session's own jobs; parallelize independent runs
+/// with Session::map.  The session must outlive the backend.
 std::unique_ptr<ExecutorBackend> make_engine_backend(engine::Session& session);
 
 /// Every auxiliary seed a run of `plan` on `program` derives, in

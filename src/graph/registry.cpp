@@ -1,6 +1,7 @@
 #include "graph/registry.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -135,10 +136,19 @@ class NotEvaluator final : public OpEvaluator {
   }
 };
 
+/// Packs one chunk of comparator bits (draw < level) from `source` into
+/// `scratch`, one bit per output cycle — the same draws step() makes.
+/// Bits past the chunk stay clear, so gating with them keeps tails clean.
+const Bitstream::Word* select_words(rng::RandomSource& source,
+                                    std::uint64_t level, const Bitstream& out,
+                                    std::vector<Bitstream::Word>& scratch) {
+  scratch.assign(out.word_count(), 0);
+  source.fill_compare(scratch.data(), out.size(), level);
+  return scratch.data();
+}
+
 /// MUX scaled add/subtract: out = sel ? Y : X with a private half-weight
 /// select stream (optionally inverting the Y leg for bipolar subtract).
-/// No word-parallel override: the select RNG advances one draw per cycle,
-/// so the default step() loop is the single source of the sequence.
 class MuxEvaluator final : public OpEvaluator {
  public:
   MuxEvaluator(const OpContext& ctx, bool invert_y)
@@ -151,10 +161,23 @@ class MuxEvaluator final : public OpEvaluator {
     return sel ? y : in[0];
   }
 
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Bitstream::Word* s = select_words(*source_, half_, out, select_);
+    const Bitstream::Word* x = ins[0]->words().data();
+    const Bitstream::Word* y = ins[1]->words().data();
+    const Bitstream::Word flip = invert_y_ ? ~Bitstream::Word{0} : 0;
+    Bitstream::Word* w = out.word_data();
+    for (std::size_t i = 0; i < out.word_count(); ++i) {
+      w[i] = (s[i] & (y[i] ^ flip)) | (~s[i] & x[i]);
+    }
+  }
+
  private:
   rng::RandomSourcePtr source_;
   std::uint64_t half_;
   bool invert_y_;
+  std::vector<Bitstream::Word> select_;
 };
 
 /// CORDIV divider (paper Fig. 2e) — stateful, bit-serial by definition.
@@ -222,9 +245,46 @@ class BernsteinEvaluator final : public OpEvaluator {
     return out;
   }
 
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const std::size_t words = out.word_count();
+    const std::size_t copies = sources_.size() - 1;
+    coefficient_bits_.assign(sources_.size() * words, 0);
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+      sources_[i]->fill_compare(coefficient_bits_.data() + i * words,
+                                out.size(), levels_[i]);
+    }
+    // The per-cycle popcount of the copies, bit-sliced: plane b holds bit
+    // b of every cycle's count (copies < kMaxArity, so 4 planes suffice).
+    const auto planes = static_cast<unsigned>(std::bit_width(copies));
+    Bitstream::Word* w = out.word_data();
+    for (std::size_t j = 0; j < words; ++j) {
+      Bitstream::Word count[4] = {};
+      for (std::size_t k = 0; k < copies; ++k) {
+        Bitstream::Word carry = ins[k]->words()[j];
+        for (unsigned b = 0; b < planes; ++b) {
+          const Bitstream::Word next_carry = count[b] & carry;
+          count[b] ^= carry;
+          carry = next_carry;
+        }
+      }
+      // Cycles whose count equals i take coefficient stream i.
+      Bitstream::Word acc = 0;
+      for (std::size_t i = 0; i <= copies; ++i) {
+        Bitstream::Word match = ~Bitstream::Word{0};
+        for (unsigned b = 0; b < planes; ++b) {
+          match &= ((i >> b) & 1u) != 0 ? count[b] : ~count[b];
+        }
+        acc |= match & coefficient_bits_[i * words + j];
+      }
+      w[j] = acc;
+    }
+  }
+
  private:
   std::vector<rng::RandomSourcePtr> sources_;
   std::vector<std::uint64_t> levels_;
+  std::vector<Bitstream::Word> coefficient_bits_;  ///< stream i at i * words
 };
 
 /// 3x3 Gaussian-blur MUX tree (§IV pipeline stage): a private select RNG
@@ -241,6 +301,25 @@ class GaussianBlurEvaluator final : public OpEvaluator {
     return in[kSelectTable[r]];
   }
 
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const std::size_t n = out.size();
+    slots_.resize(n);
+    source_->fill_indices(slots_.data(), n, 16);  // == next() & 15
+    Bitstream::Word* w = out.word_data();
+    for (std::size_t j = 0; j < out.word_count(); ++j) {
+      // pick[k] marks the cycles of this word that select window pixel k.
+      Bitstream::Word pick[9] = {};
+      const std::size_t bits = std::min<std::size_t>(64, n - j * 64);
+      for (std::size_t b = 0; b < bits; ++b) {
+        pick[kSelectTable[slots_[j * 64 + b]]] |= Bitstream::Word{1} << b;
+      }
+      Bitstream::Word acc = 0;
+      for (std::size_t k = 0; k < 9; ++k) acc |= pick[k] & ins[k]->words()[j];
+      w[j] = acc;
+    }
+  }
+
   static constexpr double kWeights[9] = {1, 2, 1, 2, 4, 2, 1, 2, 1};
 
  private:
@@ -248,6 +327,7 @@ class GaussianBlurEvaluator final : public OpEvaluator {
   static constexpr std::uint8_t kSelectTable[16] = {0, 1, 1, 2, 3, 3, 4, 4,
                                                     4, 4, 5, 5, 6, 7, 7, 8};
   rng::RandomSourcePtr source_;
+  std::vector<std::uint8_t> slots_;
 };
 
 constexpr double GaussianBlurEvaluator::kWeights[9];
@@ -268,9 +348,21 @@ class RobertsCrossEvaluator final : public OpEvaluator {
     return (source_->next() < half_) ? g2 : g1;
   }
 
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Bitstream::Word* s = select_words(*source_, half_, out, select_);
+    Bitstream::Word* w = out.word_data();
+    for (std::size_t i = 0; i < out.word_count(); ++i) {
+      const Bitstream::Word g1 = ins[0]->words()[i] ^ ins[3]->words()[i];
+      const Bitstream::Word g2 = ins[1]->words()[i] ^ ins[2]->words()[i];
+      w[i] = (s[i] & g2) | (~s[i] & g1);
+    }
+  }
+
  private:
   rng::RandomSourcePtr source_;
   std::uint64_t half_;
+  std::vector<Bitstream::Word> select_;
 };
 
 // ------------------------------------------------------------- exact fns

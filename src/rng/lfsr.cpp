@@ -1,15 +1,19 @@
 #include "rng/lfsr.hpp"
 
+#include <algorithm>
 #include <array>
-#include "common/bitops.hpp"
-#include "common/simd.hpp"
-#include <cassert>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "common/bitops.hpp"
+#include "common/simd.hpp"
 
 namespace sc::rng {
 namespace {
@@ -115,223 +119,160 @@ const LeapTable& leap_table(unsigned width, std::uint32_t taps,
   return ref;
 }
 
+/// Widest register served from a shared orbit: 2^16 - 1 states keep one
+/// orbit (values + index) under 0.5 MiB and its index in uint16_t.
+constexpr unsigned kMaxOrbitWidth = 16;
+
+/// Orbit draws handed to one SIMD packing call.  The orbit stores this
+/// many values past its period (wrapped), so a block starting anywhere on
+/// the orbit is contiguous and packed output stays word-aligned.
+constexpr std::size_t kOrbitBlock = 4096;
+
+unsigned validated_width(unsigned width) {
+  if (width < 3 || width > 32) {
+    throw std::invalid_argument("Lfsr: width " + std::to_string(width) +
+                                " outside 3..32");
+  }
+  return width;
+}
+
+/// Emitted value of a register state (output rotation applied).
+inline std::uint32_t rotate_out(std::uint32_t state, unsigned rotation,
+                                unsigned width, std::uint32_t mask) {
+  if (rotation == 0) return state;
+  return ((state >> rotation) | (state << (width - rotation))) & mask;
+}
+
 }  // namespace
 
 std::uint32_t Lfsr::maximal_taps(unsigned width) {
-  assert(width >= 3 && width <= 32);
-  return kTapTable[width];
+  return kTapTable[validated_width(width)];
 }
 
-/// Memoized period of the register: `vals` holds one full cycle of emitted
-/// values starting from the state the ring was built at, plus lazily-derived
-/// replay caches (packed comparator bits for one level, reduced address
-/// bytes for one bound, narrowed raw bytes).  The derived caches are keyed
-/// by the parameter they were built for and rebuilt on change — in practice
-/// each register instance serves one SNG level or one shuffle depth for its
-/// whole life, so each cache is built once.
-struct Lfsr::Ring {
-  std::vector<std::uint16_t> vals;  ///< one period, rotation applied
+struct Lfsr::Orbit {
   std::size_t period = 0;
-
-  std::vector<std::uint64_t> cmp;  ///< bit i = vals[i] < cmp_level
-  std::uint64_t cmp_level = 0;
-  bool cmp_ready = false;
-
-  std::vector<std::uint8_t> idx;  ///< vals[i] % idx_bound
-  std::uint32_t idx_bound = 0;
-
-  std::vector<std::uint8_t> bytes;  ///< vals narrowed (width <= 8 only)
-  bool bytes_ready = false;
+  /// Emitted values walking from state 1, then kOrbitBlock wrapped repeats.
+  std::vector<std::uint32_t> values;
+  /// index[state] = position of that state in `values` (state 0 unused).
+  std::vector<std::uint16_t> index;
 };
 
+const Lfsr::Orbit* Lfsr::shared_orbit(unsigned width, unsigned rotation) {
+  if (width > kMaxOrbitWidth) return nullptr;
+  static std::mutex mutex;
+  static std::map<std::pair<unsigned, unsigned>, std::unique_ptr<const Orbit>>
+      cache;
+  std::lock_guard<std::mutex> lock(mutex);
+  auto [it, inserted] = cache.try_emplace({width, rotation});
+  if (!inserted) return it->second.get();
+
+  const std::uint32_t taps = kTapTable[width];
+  const std::uint32_t mask = (1u << width) - 1u;
+  auto orbit = std::make_unique<Orbit>();
+  orbit->period = mask;
+  orbit->values.reserve(orbit->period + kOrbitBlock);
+  orbit->index.assign(std::size_t{mask} + 1, 0);
+  std::uint32_t state = 1;
+  for (std::size_t i = 0; i < orbit->period; ++i) {
+    if (i != 0 && state == 1) return nullptr;  // closed early: short cycle
+    orbit->index[state] = static_cast<std::uint16_t>(i);
+    orbit->values.push_back(rotate_out(state, rotation, width, mask));
+    state = fib_step(state, taps, mask);
+  }
+  // Back at the start after exactly 2^w - 1 distinct states, or the taps
+  // are not maximal and the word API keeps the block-fill defaults.
+  if (state != 1) return nullptr;
+  for (std::size_t i = 0; i < kOrbitBlock; ++i) {
+    orbit->values.push_back(orbit->values[i % orbit->period]);
+  }
+  it->second = std::move(orbit);
+  return it->second.get();
+}
+
 Lfsr::Lfsr(unsigned width, std::uint32_t seed, unsigned rotation)
-    : width_(width),
+    : width_(validated_width(width)),
       rotation_(rotation % width),
-      taps_(maximal_taps(width)),
-      mask_(width == 32 ? ~0u : (1u << width) - 1u) {
+      taps_(kTapTable[width]),
+      mask_(width == 32 ? ~0u : (1u << width) - 1u),
+      orbit_(shared_orbit(width, rotation_)) {
   seed &= mask_;
   if (seed == 0) seed = 1;  // the all-zero state is a fixed point
   seed_ = seed;
   state_ = seed;
 }
 
-Lfsr::Lfsr(const Lfsr& other)
-    : width_(other.width_),
-      rotation_(other.rotation_),
-      taps_(other.taps_),
-      seed_(other.seed_),
-      state_(other.state_),
-      mask_(other.mask_),
-      ring_(other.ring_ ? std::make_unique<Ring>(*other.ring_) : nullptr),
-      word_demand_(other.word_demand_),
-      ring_failed_(other.ring_failed_),
-      ring_pos_(other.ring_pos_),
-      ring_pos_state_(other.ring_pos_state_),
-      ring_pos_valid_(other.ring_pos_valid_) {}
-
-Lfsr::~Lfsr() = default;
-
-bool Lfsr::ring_ready(std::size_t demand) {
-  if (ring_) return true;
-  if (ring_failed_ || width_ > 16) return false;
-  word_demand_ += demand;
-  if (word_demand_ < mask_) return false;
-  build_ring();
-  return ring_ != nullptr;
-}
-
-void Lfsr::build_ring() {
-  const std::uint32_t start = state_;
-  auto ring = std::make_unique<Ring>();
-  ring->vals.reserve(mask_);
-  std::uint32_t s = start;
-  do {
-    if (ring->vals.size() >= mask_ && s != start) {
-      // More states than the register has nonzero values without closing
-      // the cycle: the orbit is not purely periodic from here (cannot
-      // happen with the maximal-tap table, but guard rather than trust).
-      ring_failed_ = true;
-      return;
-    }
-    ring->vals.push_back(static_cast<std::uint16_t>(emit(s)));
-    s = fib_step(s, taps_, mask_);
-  } while (s != start);
-  ring->period = ring->vals.size();
-  ring_ = std::move(ring);
-  ring_pos_ = 0;
-  ring_pos_state_ = start;
-  ring_pos_valid_ = true;
-}
-
-bool Lfsr::sync_ring_pos() {
-  if (ring_pos_valid_ && ring_pos_state_ == state_) return true;
-  // The register was stepped (next()) or reset since the last word call:
-  // find the current state on the ring.  Emitted values are distinct on
-  // the orbit (states are distinct and the rotation is a bijection), so
-  // the scan is unambiguous.
-  const std::uint16_t want = static_cast<std::uint16_t>(emit(state_));
-  const auto& vals = ring_->vals;
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (vals[i] == want) {
-      ring_pos_ = i;
-      ring_pos_state_ = state_;
-      ring_pos_valid_ = true;
-      return true;
-    }
+const std::uint8_t* Lfsr::shared_indices(const Orbit& orbit,
+                                         std::uint32_t bound) {
+  static std::mutex mutex;
+  static std::map<std::pair<const Orbit*, std::uint32_t>,
+                  std::vector<std::uint8_t>>
+      cache;
+  std::lock_guard<std::mutex> lock(mutex);
+  auto [it, inserted] = cache.try_emplace({&orbit, bound});
+  if (inserted) {
+    it->second.resize(orbit.values.size());
+    simd::mod_bytes(orbit.values.data(), orbit.values.size(), bound,
+                    orbit.period + 1, it->second.data());
   }
-  return false;  // off-orbit state: serve this call through the base path
+  return it->second.data();
 }
 
-void Lfsr::advance_ring(std::size_t n) {
-  ring_pos_ = (ring_pos_ + n) % ring_->period;
-  state_ = unemit(ring_->vals[ring_pos_]);
-  ring_pos_state_ = state_;
-  ring_pos_valid_ = true;
+template <typename Emit>
+void Lfsr::replay(std::size_t values, std::size_t block, Emit&& emit) {
+  const Orbit& orbit = *orbit_;
+  std::size_t pos = orbit.index[state_];
+  for (std::size_t done = 0; done < values;) {
+    const std::size_t take =
+        std::min({values - done, block, orbit.values.size() - pos});
+    emit(pos, take, done);
+    pos = (pos + take) % orbit.period;
+    done += take;
+  }
+  state_ = unemit(orbit.values[pos]);
 }
 
 void Lfsr::fill_compare(std::uint64_t* words, std::size_t nbits,
                         std::uint64_t level) {
-  if (nbits == 0) return;
-  if (!ring_ready(nbits) || !sync_ring_pos()) {
+  if (orbit_ == nullptr || level >= range()) {
     RandomSource::fill_compare(words, nbits, level);
     return;
   }
-  Ring& ring = *ring_;
-  if (level >= range()) {
-    // All-ones output; just move the cursor nbits values forward.
-    std::size_t w = 0;
-    for (; (w + 1) * 64 <= nbits; ++w) words[w] = ~std::uint64_t{0};
-    if (nbits % 64 != 0) words[w] |= (std::uint64_t{1} << (nbits % 64)) - 1;
-    advance_ring(nbits);
-    return;
-  }
-  if (!ring.cmp_ready || ring.cmp_level != level) {
-    ring.cmp.assign((ring.period + 63) / 64, 0);
-    for (std::size_t i = 0; i < ring.period; ++i) {
-      ring.cmp[i >> 6] |=
-          static_cast<std::uint64_t>(ring.vals[i] < level ? 1 : 0) << (i & 63);
-    }
-    ring.cmp_level = level;
-    ring.cmp_ready = true;
-  }
-  std::size_t done = 0;
-  std::size_t pos = ring_pos_;
-  while (done < nbits) {
-    const std::size_t take =
-        nbits - done < ring.period - pos ? nbits - done : ring.period - pos;
-    simd::or_copy_bits(words, done, ring.cmp.data(), pos, take);
-    pos += take;
-    if (pos == ring.period) pos = 0;
-    done += take;
-  }
-  advance_ring(nbits);
+  const auto level32 = static_cast<std::uint32_t>(level);
+  const std::uint32_t* vals = orbit_->values.data();
+  replay(nbits, kOrbitBlock,
+         [&](std::size_t pos, std::size_t n, std::size_t i) {
+           simd::pack_compare_lt(vals + pos, n, level32, words + i / 64);
+         });
 }
 
 void Lfsr::fill_compare_trace(std::uint64_t* words, const std::uint16_t* thresh,
                               std::size_t nbits) {
-  if (nbits == 0) return;
-  if (width_ > 8 || !ring_ready(nbits) || !sync_ring_pos()) {
+  if (orbit_ == nullptr) {
     RandomSource::fill_compare_trace(words, thresh, nbits);
     return;
   }
-  Ring& ring = *ring_;
-  if (!ring.bytes_ready) {
-    ring.bytes.assign(ring.vals.begin(), ring.vals.end());
-    ring.bytes_ready = true;
-  }
-  constexpr std::size_t kBlock = 4096;
-  std::uint8_t tmp[kBlock];
-  std::size_t pos = ring_pos_;
-  for (std::size_t i = 0; i < nbits; i += kBlock) {
-    const std::size_t n = nbits - i < kBlock ? nbits - i : kBlock;
-    std::size_t got = 0;
-    while (got < n) {
-      const std::size_t take =
-          n - got < ring.period - pos ? n - got : ring.period - pos;
-      std::memcpy(tmp + got, ring.bytes.data() + pos, take);
-      pos += take;
-      if (pos == ring.period) pos = 0;
-      got += take;
-    }
-    simd::pack_compare_trace_u8(tmp, thresh + i, n, words + i / 64);
-  }
-  advance_ring(nbits);
+  const std::uint32_t* vals = orbit_->values.data();
+  replay(nbits, kOrbitBlock,
+         [&](std::size_t pos, std::size_t n, std::size_t i) {
+           simd::pack_compare_trace(vals + pos, thresh + i, n, words + i / 64);
+         });
 }
 
 void Lfsr::fill_indices(std::uint8_t* out, std::size_t n, std::uint32_t bound) {
-  if (n == 0) return;
-  if (!ring_ready(n) || !sync_ring_pos()) {
+  if (orbit_ == nullptr) {
     RandomSource::fill_indices(out, n, bound);
     return;
   }
-  Ring& ring = *ring_;
-  if (ring.idx_bound != bound) {
-    ring.idx.resize(ring.period);
-    for (std::size_t i = 0; i < ring.period; ++i) {
-      ring.idx[i] = static_cast<std::uint8_t>(ring.vals[i] % bound);
-    }
-    ring.idx_bound = bound;
-  }
-  std::size_t done = 0;
-  std::size_t pos = ring_pos_;
-  while (done < n) {
-    const std::size_t take =
-        n - done < ring.period - pos ? n - done : ring.period - pos;
-    std::memcpy(out + done, ring.idx.data() + pos, take);
-    pos += take;
-    if (pos == ring.period) pos = 0;
-    done += take;
-  }
-  advance_ring(n);
+  const std::uint8_t* indices = shared_indices(*orbit_, bound);
+  replay(n, n, [&](std::size_t pos, std::size_t take, std::size_t i) {
+    std::memcpy(out + i, indices + pos, take);
+  });
 }
 
 std::uint32_t Lfsr::next() {
   const std::uint32_t out = state_;
-  const std::uint32_t feedback =
-      static_cast<std::uint32_t>(sc::popcount32(state_ & taps_) & 1);
-  state_ = ((state_ << 1) | feedback) & mask_;
-  if (rotation_ == 0) return out;
-  return ((out >> rotation_) | (out << (width_ - rotation_))) & mask_;
+  state_ = fib_step(state_, taps_, mask_);
+  return rotate_out(out, rotation_, width_, mask_);
 }
 
 void Lfsr::fill(std::uint32_t* out, std::size_t n) {

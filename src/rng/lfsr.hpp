@@ -21,27 +21,28 @@ namespace sc::rng {
 
 /// Fibonacci LFSR over GF(2) with maximal-period taps.
 ///
-/// Word API: an LFSR's state orbit is a pure cycle (the update is linear
-/// and invertible), so once a consumer has demanded about one period of
-/// values the register memoizes the whole period and serves the word-level
-/// calls (fill_compare / fill_compare_trace / fill_indices) by replaying
-/// precomputed rings — packed comparator bits, reduced address bytes —
-/// word-at-a-time instead of re-deriving each value.  Replay is exact:
-/// ring contents are recorded from next() itself, and the register state
-/// is kept in lockstep with the ring position (any interleaved next() or
-/// reset() just resynchronizes by state lookup).  Rings engage for widths
-/// up to 16 (at most 2^16 - 1 entries); wider registers and cold starts
-/// use the generic block-fill defaults.
+/// Word API: a maximal-period register has exactly one nonzero state
+/// orbit per width, and the output rotation only relabels what it emits.
+/// So for widths up to 16 every instance of a (width, rotation) shares one
+/// immutable, process-wide orbit: one period of emitted values plus a
+/// state -> index table, built once on first use.  A seed is then just a
+/// start offset into that orbit.  fill_compare / fill_compare_trace /
+/// fill_indices look the cursor up from the register state in O(1), pack
+/// straight from the orbit (fill_indices copies from a byte table of the
+/// orbit reduced modulo its bound, shared the same way), and leave the
+/// register at the state the same number of next() calls would have
+/// reached, so word calls interleave freely with next(), reset() and
+/// clone().  Wider registers (and any orbit whose period check fails) use
+/// the generic block-fill defaults.
 class Lfsr final : public RandomSource {
  public:
-  /// \param width    register width in bits (3..32)
+  /// \param width    register width in bits (3..32; anything else throws
+  ///                 std::invalid_argument)
   /// \param seed     initial state; must be nonzero in the low `width` bits
   ///                 (0 is remapped to 1, the conventional safe default)
   /// \param rotation output rotation in bits (models tapping the register at
   ///                 a different bit offset to obtain a decorrelated copy)
   explicit Lfsr(unsigned width, std::uint32_t seed = 1, unsigned rotation = 0);
-  Lfsr(const Lfsr& other);
-  ~Lfsr() override;
 
   std::uint32_t next() override;
   void fill(std::uint32_t* out, std::size_t n) override;
@@ -61,33 +62,34 @@ class Lfsr final : public RandomSource {
   /// Current register state (for tests).
   [[nodiscard]] std::uint32_t state() const { return state_; }
 
-  /// Maximal-period tap mask for a given width (3..32).
+  /// Maximal-period tap mask for a given width; throws
+  /// std::invalid_argument outside 3..32.
   static std::uint32_t maximal_taps(unsigned width);
 
  private:
-  struct Ring;
+  /// One period of one (width, rotation), shared by every instance.
+  struct Orbit;
+  /// The process-wide orbit of (width, rotation), built on first request;
+  /// nullptr above width 16 or when the period check fails.
+  static const Orbit* shared_orbit(unsigned width, unsigned rotation);
+  /// The orbit's values reduced modulo `bound` as bytes, laid out like the
+  /// orbit: fill_indices serves every shuffle address from one, built once
+  /// per (orbit, bound) and shared the same way.
+  static const std::uint8_t* shared_indices(const Orbit& orbit,
+                                            std::uint32_t bound);
 
-  /// Emitted value for a register state (output rotation applied).
-  [[nodiscard]] std::uint32_t emit(std::uint32_t state) const {
-    if (rotation_ == 0) return state;
-    return ((state >> rotation_) | (state << (width_ - rotation_))) & mask_;
-  }
-  /// Register state that emits `value` (inverse of emit()).
+  /// Register state that emits `value` (inverse of the output rotation).
   [[nodiscard]] std::uint32_t unemit(std::uint32_t value) const {
     if (rotation_ == 0) return value;
     return ((value << rotation_) | (value >> (width_ - rotation_))) & mask_;
   }
 
-  /// True once the period ring is built; accumulates demand and builds it
-  /// lazily after about one period of word-API values has been requested
-  /// (so short-stream consumers never pay the construction).
-  bool ring_ready(std::size_t demand);
-  void build_ring();
-  /// Points the ring cursor at the current register state (cheap when
-  /// nothing stepped the register since the last word-API call).
-  bool sync_ring_pos();
-  /// Moves the cursor n values forward and the register with it.
-  void advance_ring(std::size_t n);
+  /// Walks `values` draws along the orbit in contiguous segments, calling
+  /// emit(orbit position, count, offset) per segment, then moves the
+  /// register past them.  Segments are at most `block` long; a block that
+  /// fits the orbit's wrapped tail makes every offset a multiple of it.
+  template <typename Emit>
+  void replay(std::size_t values, std::size_t block, Emit&& emit);
 
   unsigned width_;
   unsigned rotation_;
@@ -95,13 +97,7 @@ class Lfsr final : public RandomSource {
   std::uint32_t seed_;
   std::uint32_t state_;
   std::uint32_t mask_;
-
-  std::unique_ptr<Ring> ring_;
-  std::uint64_t word_demand_ = 0;
-  bool ring_failed_ = false;
-  std::size_t ring_pos_ = 0;
-  std::uint32_t ring_pos_state_ = 0;
-  bool ring_pos_valid_ = false;
+  const Orbit* orbit_;  ///< shared, immutable; nullptr above width 16
 };
 
 }  // namespace sc::rng

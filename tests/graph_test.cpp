@@ -5,15 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <random>
+#include <stdexcept>
+#include <vector>
 
 #include "bitstream/correlation.hpp"
+#include "graph/backend.hpp"
 #include "graph/dataflow.hpp"
 #include "graph/executor.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
+#include "graph/registry.hpp"
 #include "hw/cost.hpp"
+#include "rng/lfsr.hpp"
 
 namespace sc::graph {
 namespace {
@@ -330,6 +338,113 @@ TEST(GraphIntegration, StrategyOrderingMatchesPaper) {
   // Cost: manipulation is the cheaper fix.
   EXPECT_LT(hw::evaluate(manip.overhead).power_uw,
             hw::evaluate(regen.overhead).power_uw);
+}
+
+// --- word-parallel evaluators ---------------------------------------------
+
+/// bits [offset, offset + length) of `stream` as a stream of their own.
+Bitstream slice(const Bitstream& stream, std::size_t offset,
+                std::size_t length) {
+  Bitstream out(length);
+  for (std::size_t i = 0; i < length; ++i) {
+    if (stream.get(offset + i)) out.set(i, true);
+  }
+  return out;
+}
+
+TEST(Evaluators, RngDrivenProcessMatchesStepOverChunkSplits) {
+  // Each RNG-driven operator's word-parallel process(), driven chunk by
+  // chunk on word-aligned splits (as the engine backend does), must equal
+  // the bit-serial step() loop of a fresh evaluator — at a width whose
+  // period is far shorter than the run and at the natural width 16.
+  static constexpr std::size_t kLengths[] = {1,    63,    64,    65,
+                                             4095, 65535, 65536, 70000};
+  static constexpr std::size_t kChunks[] = {64, 4096, 128, 65536, 192};
+  // Bernstein units of degree 3, 7 and 15 bit-slice their operand count
+  // over 2, 3 and 4 planes.
+  OperatorRegistry reg = OperatorRegistry::with_builtins();
+  register_bernstein(reg, "bernstein-7", [](double t) { return t * t; }, 7);
+  register_bernstein(reg, "bernstein-15", [](double t) { return 1.0 - t; },
+                     15);
+  std::mt19937_64 gen(11);
+  for (const char* name : {"scaled-add", "scaled-sub-bipolar",
+                           "gaussian-blur-3x3", "roberts-cross",
+                           "bernstein-x2-3", "bernstein-7", "bernstein-15"}) {
+    const OperatorDef& def = *reg.find(name);
+    for (const unsigned width : {8u, 16u}) {
+      for (const std::size_t n : kLengths) {
+        std::vector<Bitstream> operands;
+        for (unsigned k = 0; k < def.arity; ++k) {
+          Bitstream stream(n);
+          const double p = 0.15 + 0.05 * k;
+          std::bernoulli_distribution bit(p);
+          for (std::size_t i = 0; i < n; ++i) {
+            if (bit(gen)) stream.set(i, true);
+          }
+          operands.push_back(std::move(stream));
+        }
+        OpContext ctx;
+        ctx.stream_length = n;
+        ctx.width = width;
+        ctx.node = 5;
+        ctx.base_seed = 3;
+
+        const auto serial = def.make_evaluator(ctx);
+        serial->begin(n);
+        Bitstream expect(n);
+        bool bits[kMaxArity];
+        for (std::size_t i = 0; i < n; ++i) {
+          for (unsigned k = 0; k < def.arity; ++k) bits[k] = operands[k].get(i);
+          if (serial->step(bits)) expect.set(i, true);
+        }
+
+        const auto word = def.make_evaluator(ctx);
+        word->begin(n);
+        Bitstream got(n);
+        std::size_t offset = 0;
+        for (std::size_t c = 0; offset < n; ++c) {
+          const std::size_t take =
+              std::min(kChunks[c % std::size(kChunks)], n - offset);
+          std::vector<Bitstream> pieces;
+          for (const Bitstream& operand : operands) {
+            pieces.push_back(slice(operand, offset, take));
+          }
+          std::vector<const Bitstream*> ins;
+          for (const Bitstream& piece : pieces) ins.push_back(&piece);
+          Bitstream out(take);
+          word->process(
+              sc::span<const Bitstream* const>(ins.data(), ins.size()), out);
+          for (std::size_t i = 0; i < take; ++i) {
+            if (out.get(i)) got.set(offset + i, true);
+          }
+          // The tail past the chunk must stay clear (Bitstream invariant).
+          EXPECT_EQ(out.count_ones(), slice(out, 0, take).count_ones());
+          offset += take;
+        }
+        EXPECT_EQ(got, expect) << name << " width " << width << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Backends, OutOfRangeLfsrWidthThrowsInsteadOfCrashing) {
+  GraphBuilder b;
+  const Value x = b.input("x", 0.4, 0);
+  const Value y = b.input("y", 0.7, 1);
+  b.output(b.op("scaled-add", {b.op("multiply", {x, y}), y}));
+  const Program program = b.build();
+  const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
+  for (const unsigned width : {0u, 2u, 33u, 40u}) {
+    EXPECT_THROW(rng::Lfsr(width, 1), std::invalid_argument) << width;
+    ExecConfig config;
+    config.width = width;
+    for (const BackendKind kind : {BackendKind::kReference,
+                                   BackendKind::kKernel, BackendKind::kEngine}) {
+      EXPECT_THROW(make_backend(kind)->run(program, plan, config),
+                   std::invalid_argument)
+          << "width " << width << " backend " << static_cast<int>(kind);
+    }
+  }
 }
 
 }  // namespace

@@ -399,7 +399,12 @@ TEST(Acceptance, FanOutRunEmitsFullMetricsAndMultiThreadTrace) {
   config.fault_plan = &faults;
   config.telemetry = &telemetry;
 
-  make_engine_backend(session)->run(program, plan, config);
+  // A bound run advances on the thread that calls it; run it as a session
+  // job so its per-chunk spans land on a pool worker.
+  const auto backend = make_engine_backend(session);
+  session.for_each(1, [&](std::size_t) {
+    backend->run(program, plan, config);
+  });
 
   const MetricsSnapshot snapshot = telemetry.snapshot();
   // The ISSUE's named signals, all from one run:

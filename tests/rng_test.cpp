@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
@@ -393,7 +396,7 @@ TEST_P(WordApi, FillCompareMatchesSerialAcrossOddSplits) {
   const auto ref = src->clone();
   const std::uint64_t level = src->range() / 3;
   // Total deliberately exceeds an 11-bit LFSR period (2047) several times
-  // so the ring-replay path engages and wraps.
+  // so the LFSR's orbit replay wraps mid-call.
   static constexpr std::size_t kSplits[] = {1, 63, 65, 4096, 7000};
   std::size_t total = 0;
   for (const std::size_t n : kSplits) total += n;
@@ -459,7 +462,7 @@ TEST_P(WordApi, FillCompareTraceMatchesSerialSignedCompare) {
 
 TEST_P(WordApi, WordCallsInterleaveWithSerialDraws) {
   // Mixing next() between word calls must keep the shared sequence position
-  // (the LFSR ring replay has to resynchronize its cursor).
+  // (the LFSR re-derives its orbit cursor from the register state).
   const auto src = make();
   const auto ref = src->clone();
   const std::uint64_t level = src->range() / 2;
@@ -480,9 +483,9 @@ INSTANTIATE_TEST_SUITE_P(AllSources, WordApi,
                          ::testing::Values("lfsr", "lfsr-rot", "counter", "mt",
                                            "vdc", "halton", "sobol"));
 
-TEST(WordApi, LfsrClonePreservesRingPosition) {
-  // Drive the LFSR far past its period so the replay ring is built, then
-  // clone mid-ring: the copy must continue the identical sequence.
+TEST(WordApi, LfsrClonePreservesOrbitPosition) {
+  // Drive the LFSR several periods through its orbit, then clone
+  // mid-period: the copy must continue the identical sequence.
   Lfsr lfsr(8, 5);
   std::vector<std::uint64_t> words(20, 0);
   lfsr.fill_compare(words.data(), 1200, 100);
@@ -503,6 +506,112 @@ TEST(WordApi, LfsrResetRestartsWordSequence) {
   std::vector<std::uint64_t> again(10, 0);
   lfsr.fill_compare(again.data(), 640, 200);
   EXPECT_EQ(again, first);
+}
+
+// Scripted mix of word calls, next(), clone() and reset() on `src`, each
+// checked against the serial next() sequence of `ref` (same start).
+// Lengths straddle the period so every call crosses the orbit's wrap.
+void ExpectLfsrWordApiMatchesNext(Lfsr src, Lfsr ref) {
+  const std::size_t period = (std::size_t{1} << src.width()) - 1;
+  const std::string where = src.name();
+  const auto fill_compare = [&](RandomSource& source, std::size_t n,
+                                std::uint64_t level) {
+    std::vector<std::uint64_t> words((n + 63) / 64, 0);
+    source.fill_compare(words.data(), n, level);
+    EXPECT_EQ(words, PackCompareRef(ref, n, level)) << where << " n=" << n;
+  };
+  fill_compare(src, period + 70, src.range() / 3);
+  EXPECT_EQ(src.next(), ref.next()) << where;
+
+  std::vector<std::uint8_t> idx(100);
+  src.fill_indices(idx.data(), idx.size(), 7);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    ASSERT_EQ(idx[i], ref.next() % 7) << where << " i=" << i;
+  }
+
+  const std::size_t n_trace = 3 * period / 2 + 1;
+  std::vector<std::uint16_t> thresh(n_trace);
+  for (std::size_t i = 0; i < n_trace; ++i) {
+    thresh[i] = static_cast<std::uint16_t>((i * 101) % src.range() % 32768);
+  }
+  std::vector<std::uint64_t> words((n_trace + 63) / 64, 0);
+  src.fill_compare_trace(words.data(), thresh.data(), n_trace);
+  for (std::size_t i = 0; i < n_trace; ++i) {
+    const bool expect = ref.next() < thresh[i];
+    ASSERT_EQ((words[i / 64] >> (i % 64)) & 1u, expect ? 1u : 0u)
+        << where << " i=" << i;
+  }
+
+  std::vector<std::uint32_t> raw(65);
+  src.fill(raw.data(), raw.size());
+  for (const std::uint32_t v : raw) ASSERT_EQ(v, ref.next()) << where;
+
+  // The clone carries on from the same orbit position.
+  const std::unique_ptr<RandomSource> copy = src.clone();
+  fill_compare(*copy, 1, src.range() / 2);
+  fill_compare(*copy, 130, src.range());  // full scale still advances
+  copy->reset();
+  ref.reset();
+  fill_compare(*copy, 2 * period + 5, 1);
+  EXPECT_EQ(copy->next(), ref.next()) << where;
+}
+
+TEST(WordApi, LfsrWordCallsMatchNextForEveryOrbitWidthAndRotation) {
+  for (unsigned width = 3; width <= 16; ++width) {
+    const std::size_t period = (std::size_t{1} << width) - 1;
+    // Seeds at orbit offsets 0, period - 5 and period - 1 (the state whose
+    // successor wraps back to the orbit's start), plus an arbitrary one.
+    std::vector<std::uint32_t> seeds = {1, 0xACE1};
+    Lfsr walk(width, 1);
+    for (std::size_t i = 0; i + 1 < period; ++i) {
+      if (i + 5 == period) seeds.push_back(walk.state());
+      walk.next();
+    }
+    seeds.push_back(walk.state());
+    walk.next();
+    ASSERT_EQ(walk.state(), 1u) << "width " << width;
+    for (const unsigned rotation : {0u, 3u, width - 1}) {
+      for (const std::uint32_t seed : seeds) {
+        ExpectLfsrWordApiMatchesNext(Lfsr(width, seed, rotation),
+                                     Lfsr(width, seed, rotation));
+      }
+    }
+  }
+}
+
+TEST(WordApi, LfsrConcurrentFirstUseOfAnOrbitGivesIdenticalSequences) {
+  // (13, 5) is used by no other test: the eight threads race to be the
+  // first user of its shared orbit.
+  constexpr unsigned kThreads = 8;
+  constexpr std::size_t kBits = 3 * 8191 + 17;
+  const std::uint64_t level = 3000;
+  std::vector<std::vector<std::uint64_t>> got(kThreads);
+  std::atomic<unsigned> ready{0};
+  std::vector<std::thread> threads;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      Lfsr lfsr(13, 0x1234, 5);
+      got[t].assign((kBits + 63) / 64, 0);
+      lfsr.fill_compare(got[t].data(), kBits, level);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  Lfsr ref(13, 0x1234, 5);
+  const std::vector<std::uint64_t> expect = PackCompareRef(ref, kBits, level);
+  for (unsigned t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expect) << t;
+}
+
+TEST(Lfsr, OutOfRangeWidthThrowsInsteadOfCrashing) {
+  for (const unsigned width : {0u, 2u, 33u, 40u}) {
+    EXPECT_THROW(Lfsr(width, 1), std::invalid_argument) << width;
+    EXPECT_THROW(Lfsr::maximal_taps(width), std::invalid_argument) << width;
+    EXPECT_THROW(make_rng(RngSpec{.kind = RngKind::kLfsr, .width = width}),
+                 std::invalid_argument)
+        << width;
+  }
 }
 
 }  // namespace
