@@ -14,13 +14,6 @@
 #define SC_SIMD_X86 0
 #endif
 
-#if defined(__aarch64__) && defined(__ARM_NEON)
-#define SC_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define SC_SIMD_NEON 0
-#endif
-
 namespace sc::simd {
 namespace {
 
@@ -41,8 +34,6 @@ Tier detect_tier() {
     return Tier::kAvx2;
   }
   return Tier::kScalar;
-#elif SC_SIMD_NEON
-  return Tier::kNeon;
 #else
   return Tier::kScalar;
 #endif
@@ -58,7 +49,6 @@ Tier resolve_tier() {
     return Tier::kScalar;
   }
   if (v == "avx2") return detected < Tier::kAvx2 ? detected : Tier::kAvx2;
-  if (v == "neon") return detected < Tier::kNeon ? detected : Tier::kNeon;
   // "on" / "auto" / "avx512" / anything unrecognized: widest supported.
   return detected;
 }
@@ -345,28 +335,6 @@ void shuffle_words_avx512(std::uint64_t* words, const std::uint8_t* r,
 
 #endif  // SC_SIMD_X86
 
-#if SC_SIMD_NEON
-
-void pack_compare_lt_neon(const std::uint32_t* vals, std::size_t n,
-                          std::uint32_t level, std::uint64_t* words) {
-  const uint32x4_t vl = vdupq_n_u32(level);
-  const uint32x4_t weights = {1u, 2u, 4u, 8u};
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    std::uint64_t w = 0;
-    for (unsigned k = 0; k < 64; k += 4) {
-      const uint32x4_t v = vld1q_u32(vals + i + k);
-      const uint32x4_t lt = vcltq_u32(v, vl);
-      w |= static_cast<std::uint64_t>(vaddvq_u32(vandq_u32(lt, weights)))
-           << k;
-    }
-    words[i >> 6] |= w;
-  }
-  if (i < n) pack_compare_lt_scalar(vals + i, n - i, level, words + (i >> 6));
-}
-
-#endif  // SC_SIMD_NEON
-
 }  // namespace
 
 Tier active_tier() {
@@ -378,8 +346,6 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kScalar:
       return "scalar";
-    case Tier::kNeon:
-      return "neon";
     case Tier::kAvx2:
       return "avx2";
     case Tier::kAvx512:
@@ -396,10 +362,6 @@ void pack_compare_lt(const std::uint32_t* vals, std::size_t n,
       return pack_compare_lt_avx512(vals, n, level, words);
     case Tier::kAvx2:
       return pack_compare_lt_avx2(vals, n, level, words);
-#endif
-#if SC_SIMD_NEON
-    case Tier::kNeon:
-      return pack_compare_lt_neon(vals, n, level, words);
 #endif
     default:
       return pack_compare_lt_scalar(vals, n, level, words);

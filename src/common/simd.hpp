@@ -5,8 +5,8 @@
 /// replacements for the scalar loops they accelerate, bit-identical for
 /// every input (the kernel layer's equivalence contract extends through
 /// this shim).  Dispatch picks the widest tier the host supports at first
-/// use — AVX-512 (F/BW/VL/DQ + BMI2), AVX2 + BMI2 + POPCNT, NEON on
-/// aarch64, or plain scalar — and the `SC_SIMD` environment variable
+/// use — AVX-512 (F/BW/VL/DQ + BMI2), AVX2 + BMI2 + POPCNT, or plain
+/// scalar (every non-x86 host) — and the `SC_SIMD` environment variable
 /// overrides it:
 ///
 ///   SC_SIMD=off | scalar | 0    force the scalar reference loops
@@ -29,16 +29,15 @@ namespace sc::simd {
 /// Instruction tiers the shim dispatches across, widest supported wins.
 enum class Tier {
   kScalar = 0,  ///< portable reference loops (also the SC_SIMD=off tier)
-  kNeon = 1,    ///< aarch64 NEON (packing helpers only; rest scalar)
-  kAvx2 = 2,    ///< x86 AVX2 + BMI2 + POPCNT
-  kAvx512 = 3,  ///< x86 AVX-512 F/BW/VL/DQ on top of the AVX2 tier
+  kAvx2 = 1,    ///< x86 AVX2 + BMI2 + POPCNT
+  kAvx512 = 2,  ///< x86 AVX-512 F/BW/VL/DQ on top of the AVX2 tier
 };
 
 /// The tier in effect for this process (detection + SC_SIMD override,
 /// resolved once and cached).
 Tier active_tier();
 
-/// Human-readable name of a tier ("scalar", "neon", "avx2", "avx512").
+/// Human-readable name of a tier ("scalar", "avx2", "avx512").
 const char* tier_name(Tier tier);
 
 /// True when the word-parallel kernel datapaths should engage (any tier

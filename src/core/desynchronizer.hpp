@@ -69,6 +69,7 @@ class Desynchronizer final : public PairTransform {
   };
 
   Desynchronizer() : Desynchronizer(Config{}) {}
+  /// Throws std::invalid_argument when config.depth is 0.
   explicit Desynchronizer(Config config);
 
   BitPair step(bool x, bool y) override;

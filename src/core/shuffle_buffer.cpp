@@ -1,13 +1,18 @@
 #include "core/shuffle_buffer.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace sc::core {
 
 ShuffleBuffer::ShuffleBuffer(std::size_t depth, rng::RandomSourcePtr source)
     : slots_(depth), source_(std::move(source)) {
-  assert(depth >= 1);
-  assert(source_ != nullptr);
+  if (depth < 1) {
+    throw std::invalid_argument("ShuffleBuffer: depth must be >= 1");
+  }
+  if (source_ == nullptr) {
+    throw std::invalid_argument("ShuffleBuffer: null random source");
+  }
   initialize_slots();
 }
 

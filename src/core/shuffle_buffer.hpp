@@ -32,6 +32,7 @@ class ShuffleBuffer final : public StreamTransform {
   /// \param depth   number of storage slots D (>= 1)
   /// \param source  auxiliary address source; owned.  Its value is reduced
   ///                modulo (D+1), so any width >= ceil(log2(D+1)) works.
+  /// Throws std::invalid_argument when depth is 0 or source is null.
   ShuffleBuffer(std::size_t depth, rng::RandomSourcePtr source);
 
   bool step(bool in) override;

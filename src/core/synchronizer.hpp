@@ -68,6 +68,7 @@ class Synchronizer final : public PairTransform {
   };
 
   Synchronizer() : Synchronizer(Config{}) {}
+  /// Throws std::invalid_argument when config.depth is 0.
   explicit Synchronizer(Config config);
 
   BitPair step(bool x, bool y) override;

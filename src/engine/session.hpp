@@ -2,9 +2,9 @@
 /// Top-level handle of the execution engine: one pool, one batch runner,
 /// one configuration.
 ///
-/// A Session is what callers thread through the high-level entry points
-/// (`graph::execute_batch`, `img::run_pipeline_tiled`, benches): it owns
-/// the worker pool, fixes the chunk size for long-stream processing, and
+/// A Session is what callers thread through batched work (map() over
+/// graph backend runs, `img::run_pipeline_tiled`, benches): it owns the
+/// worker pool, fixes the chunk size for long-stream processing, and
 /// anchors the deterministic seeding scheme (base seed -> per-job seeds).
 /// Two sessions with the same config produce bit-identical results
 /// regardless of their thread counts.

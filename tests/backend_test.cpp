@@ -228,7 +228,7 @@ TEST(Backends, EngineRunsLongStreamsWithoutMaterializing) {
 
 // --- acceptance: operators the executor has no hardcoded knowledge of ------
 
-TEST(CustomOperator, PlannedFixedAndExecutedThroughTheRegistry) {
+TEST(CustomOperator, PlansFixesAndExecutesThroughTheRegistry) {
   // A NAND "multiplier" (1 - a*b for uncorrelated operands) registered at
   // test scope: neither the planner nor any backend has ever heard of it,
   // yet the manipulation plan inserts a decorrelator and restores

@@ -22,9 +22,9 @@
 #include "engine/chunked_stream.hpp"
 #include "engine/session.hpp"
 #include "engine/thread_pool.hpp"
-#include "graph/dataflow.hpp"
-#include "graph/executor.hpp"
+#include "graph/backend.hpp"
 #include "graph/planner.hpp"
+#include "graph/program.hpp"
 #include "img/image.hpp"
 #include "img/sc_pipeline.hpp"
 #include "rng/lfsr.hpp"
@@ -347,16 +347,43 @@ TEST(ChunkedStream, LongStreamBoundedBuffering) {
 
 // --- batch / session invariance ------------------------------------------------
 
-graph::DataflowGraph batch_graph() {
-  graph::DataflowGraph g;
-  const graph::NodeId a = g.add_input("a", 0.6, 0);
-  const graph::NodeId b = g.add_input("b", 0.5, 0);
-  const graph::NodeId c = g.add_input("c", 0.3, 1);
-  const graph::NodeId d = g.add_input("d", 0.8, 1);
-  const graph::NodeId ab = g.add_op(graph::OpKind::kMultiply, a, b);
-  const graph::NodeId cd = g.add_op(graph::OpKind::kMultiply, c, d);
-  g.mark_output(g.add_op(graph::OpKind::kScaledAdd, ab, cd));
-  return g;
+graph::Program batch_graph() {
+  graph::GraphBuilder g;
+  const graph::Value a = g.input("a", 0.6, 0);
+  const graph::Value b = g.input("b", 0.5, 0);
+  const graph::Value c = g.input("c", 0.3, 1);
+  const graph::Value d = g.input("d", 0.8, 1);
+  const graph::Value ab = g.op("multiply", {a, b});
+  const graph::Value cd = g.op("multiply", {c, d});
+  g.output(g.op("scaled-add", {ab, cd}));
+  return g.build();
+}
+
+/// Default config with the session's strided (width-safe) seed for job i.
+graph::ExecConfig job_config(const Session& session, std::size_t i) {
+  graph::ExecConfig config;
+  config.seed = session.strided_seed_for(i);
+  return config;
+}
+
+graph::ExecutionResult run_kernel(const graph::Program& program,
+                                  const graph::ProgramPlan& plan,
+                                  const graph::ExecConfig& config) {
+  return graph::make_backend(graph::BackendKind::kKernel)
+      ->run(program, plan, config);
+}
+
+/// `count` seeded kernel-backend runs fanned across the session's pool.
+/// Each job is a pure function of its config, so results are ordered by
+/// job index and bit-identical for every thread count.
+std::vector<graph::ExecutionResult> run_batch(const graph::Program& program,
+                                              const graph::ProgramPlan& plan,
+                                              std::size_t count,
+                                              Session& session) {
+  return session.map<graph::ExecutionResult>(
+      count, [&program, &plan, &session](std::size_t i) {
+        return run_kernel(program, plan, job_config(session, i));
+      });
 }
 
 TEST(Session, MapPreservesIndexOrder) {
@@ -381,20 +408,19 @@ TEST(Session, MapPreservesIndexOrder) {
 }
 
 TEST(ExecuteBatch, BitIdenticalAcrossThreadCounts) {
-  const graph::DataflowGraph g = batch_graph();
-  const graph::Plan plan =
-      graph::plan_insertions(g, graph::Strategy::kManipulation);
+  const graph::Program g = batch_graph();
+  const graph::ProgramPlan plan =
+      graph::plan_program(g, graph::Strategy::kManipulation);
 
   Session one({1, kDefaultChunkBits, 42});
   Session many({4, kDefaultChunkBits, 42});
-  const auto configs = graph::seeded_sweep({}, 24, one);
-  ASSERT_EQ(configs.size(), 24u);
   // Identical session base seeds derive identical sweeps.
-  EXPECT_EQ(configs[5].seed, graph::seeded_sweep({}, 24, many)[5].seed);
+  EXPECT_EQ(one.strided_seed_for(5), many.strided_seed_for(5));
 
-  const auto serial = graph::execute_batch(g, plan, configs, one);
-  const auto parallel = graph::execute_batch(g, plan, configs, many);
+  const auto serial = run_batch(g, plan, 24, one);
+  const auto parallel = run_batch(g, plan, 24, many);
 
+  ASSERT_EQ(serial.size(), 24u);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t j = 0; j < serial.size(); ++j) {
     ASSERT_EQ(serial[j].streams.size(), parallel[j].streams.size());
@@ -407,16 +433,17 @@ TEST(ExecuteBatch, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ExecuteBatch, MatchesSequentialExecute) {
-  const graph::DataflowGraph g = batch_graph();
-  const graph::Plan plan =
-      graph::plan_insertions(g, graph::Strategy::kRegeneration);
+  const graph::Program g = batch_graph();
+  const graph::ProgramPlan plan =
+      graph::plan_program(g, graph::Strategy::kRegeneration);
 
   Session session({3, kDefaultChunkBits, 7});
-  const auto configs = graph::seeded_sweep({}, 10, session);
-  const auto batched = graph::execute_batch(g, plan, configs, session);
+  const auto batched = run_batch(g, plan, 10, session);
 
-  for (std::size_t j = 0; j < configs.size(); ++j) {
-    const graph::ExecutionResult direct = graph::execute(g, plan, configs[j]);
+  ASSERT_EQ(batched.size(), 10u);
+  for (std::size_t j = 0; j < batched.size(); ++j) {
+    const graph::ExecutionResult direct =
+        run_kernel(g, plan, job_config(session, j));
     ASSERT_EQ(batched[j].streams.size(), direct.streams.size());
     for (std::size_t s = 0; s < direct.streams.size(); ++s) {
       EXPECT_EQ(batched[j].streams[s], direct.streams[s]);

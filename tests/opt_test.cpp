@@ -125,7 +125,7 @@ TEST(Passes, CseMergesDuplicateRngFreeOps) {
   EXPECT_LT(o.area_after_um2, o.area_before_um2);
 }
 
-TEST(Passes, CseNeverMergesOpsWhosePlannedFixesDrawRng) {
+TEST(Passes, CseNeverMergesOpsWhoseFixesDrawRng) {
   // Two multiply(x, y) duplicates whose operands share one RNG group:
   // each gets its own decorrelator fix, seeded by its own seed_tag, so
   // the two output streams differ bit-wise — merging them would silently
