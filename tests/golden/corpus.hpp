@@ -70,4 +70,21 @@ inline constexpr GoldenEntry kGoldenCorpus[] = {
     {"chain-unrec", "engine-chunked", 0xC33DBF229545C306ULL},
 };
 
+/// img::run_pipeline / run_pipeline_tiled output checksums; `program` is
+/// "<operating point> <variant>", `backend` the entry point.
+inline constexpr GoldenEntry kPipelineGolden[] = {
+    {"n256-w8 SC no-manipulation", "serial", 0x5587E472EE32F7A5ULL},
+    {"n256-w8 SC no-manipulation", "tiled", 0x13A33EA07EB2F8B0ULL},
+    {"n256-w8 SC regeneration", "serial", 0xAD1B4C6CD149FF76ULL},
+    {"n256-w8 SC regeneration", "tiled", 0xD41607BB1DE4D99EULL},
+    {"n256-w8 SC synchronizer", "serial", 0xB890BD7B3C087D9CULL},
+    {"n256-w8 SC synchronizer", "tiled", 0xA6FEDC4FE4FE01B3ULL},
+    {"n100-w7 SC no-manipulation", "serial", 0x5B1C01626CE33525ULL},
+    {"n100-w7 SC no-manipulation", "tiled", 0x13867C6761EAC967ULL},
+    {"n100-w7 SC regeneration", "serial", 0x7810D242F0B517AFULL},
+    {"n100-w7 SC regeneration", "tiled", 0xA87980081322A482ULL},
+    {"n100-w7 SC synchronizer", "serial", 0xE21CEB7439D88063ULL},
+    {"n100-w7 SC synchronizer", "tiled", 0xF7DB334B8A341DFEULL},
+};
+
 }  // namespace sc::golden

@@ -6,12 +6,14 @@
 /// corpus.hpp.  A mismatch here with the differential suites green means
 /// every backend shifted *together*: exactly the failure mode of the PR 3
 /// seed-derivation migration, which silently moved all results at once.
+/// The §IV image pipeline's output pixels are pinned the same way.
 /// See tests/golden/README.md for the (intentional-change-only)
 /// regeneration workflow.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -27,6 +29,8 @@
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "graph_fixtures.hpp"
+#include "img/image.hpp"
+#include "img/sc_pipeline.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 #include "opt/optimize.hpp"
@@ -228,6 +232,94 @@ TEST(GoldenCorpus, BitLevelResultsMatchTheCommittedChecksums) {
       }
       EXPECT_TRUE(found) << "no golden entry for " << c.name << " on "
                          << entry.label;
+    }
+  }
+  if (print) {
+    std::printf("};\n");
+    GTEST_SKIP() << "SC_GOLDEN_PRINT set: printed the corpus instead of "
+                    "checking it";
+  }
+}
+
+/// FNV-1a over the image size and every pixel's IEEE-754 bit pattern: an
+/// output pixel is a popcount over N, so any moved stream bit moves it.
+std::uint64_t checksum(const img::Image& image) {
+  std::uint64_t hash = 1469598103934665603ULL;
+  const auto mix = [&hash](std::uint64_t v) {
+    for (unsigned byte = 0; byte < 8; ++byte) {
+      hash ^= (v >> (8 * byte)) & 0xFFu;
+      hash *= 1099511628211ULL;
+    }
+  };
+  mix(image.width());
+  mix(image.height());
+  for (const double pixel : image.pixels()) {
+    mix(std::bit_cast<std::uint64_t>(pixel));
+  }
+  return hash;
+}
+
+// The §IV image pipeline's output bits: both entry points x all three
+// variants on one odd-size scene (partial tiles on both axes), at the
+// paper's operating point and at a length that leaves a partial last word
+// with a narrower RNG, a 3-bank input LFSR array and depth-1
+// synchronizers.  Regenerate with SC_GOLDEN_PRINT=1 like the graph corpus.
+TEST(GoldenCorpus, PipelineOutputsMatchTheCommittedChecksums) {
+  const bool print = std::getenv("SC_GOLDEN_PRINT") != nullptr;
+  if (print) {
+    std::printf("inline constexpr GoldenEntry kPipelineGolden[] = {\n");
+  }
+  const img::Image scene = img::Image::synthetic_scene(23, 17, 5);
+  img::PipelineConfig paper;  // N = 256, w = 8, 8 banks, depth 2
+  paper.tile = 10;
+  img::PipelineConfig partial = paper;
+  partial.stream_length = 100;
+  partial.sng_width = 7;
+  partial.input_banks = 3;
+  partial.sync_depth = 1;
+  partial.seed = 19;
+  const struct {
+    const char* name;
+    img::PipelineConfig config;
+  } points[] = {{"n256-w8", paper}, {"n100-w7", partial}};
+  const img::Variant variants[] = {img::Variant::kNoManipulation,
+                                   img::Variant::kRegeneration,
+                                   img::Variant::kSynchronizer};
+
+  engine::Session session({2, /*chunk_bits=*/128, 0x5eed});
+  for (const auto& point : points) {
+    for (const img::Variant variant : variants) {
+      const std::string name =
+          std::string(point.name) + " " + img::to_string(variant);
+      const struct {
+        const char* label;
+        std::uint64_t got;
+      } runs[] = {
+          {"serial",
+           checksum(img::run_pipeline(scene, variant, point.config).output)},
+          {"tiled", checksum(img::run_pipeline_tiled(scene, variant,
+                                                     point.config, session)
+                                 .output)},
+      };
+      for (const auto& run : runs) {
+        if (print) {
+          std::printf("    {\"%s\", \"%s\", 0x%016llXULL},\n", name.c_str(),
+                      run.label, static_cast<unsigned long long>(run.got));
+          continue;
+        }
+        bool found = false;
+        for (const GoldenEntry& golden : kPipelineGolden) {
+          if (name != golden.program || std::string(run.label) != golden.backend) {
+            continue;
+          }
+          found = true;
+          EXPECT_EQ(run.got, golden.checksum)
+              << name << " (" << run.label
+              << "): pipeline output bits changed";
+        }
+        EXPECT_TRUE(found) << "no golden entry for " << name << " ("
+                           << run.label << ")";
+      }
     }
   }
   if (print) {
