@@ -14,6 +14,8 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
@@ -33,6 +35,14 @@ Bitstream regenerate(const Bitstream& input, rng::RandomSource& source);
 /// outputs are pairwise SCC = +1.
 std::vector<Bitstream> regenerate_bus_correlated(
     const std::vector<Bitstream>& inputs, rng::RandomSource& shared_source);
+
+/// Word form of regenerate_bus_correlated, in place: `count` packed
+/// `n`-bit streams, stream k at words + k * stride (stride >= (n + 63) / 64
+/// words, bits past n clear), each replaced by its re-encoding against one
+/// shared trace of `n` draws.  Bit-identical to the vector form.
+void regenerate_bus_correlated(std::uint64_t* words, std::size_t stride,
+                               std::size_t count, std::size_t n,
+                               rng::RandomSource& shared_source);
 
 /// Regenerates a bus with an independent clone-with-offset source per stream
 /// (decorrelating regeneration).

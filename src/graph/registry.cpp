@@ -12,6 +12,7 @@
 #include "func/bernstein.hpp"
 #include "func/fsm_function.hpp"
 #include "hw/designs.hpp"
+#include "img/kernels.hpp"
 #include "rng/lfsr.hpp"
 
 namespace sc::graph {
@@ -298,7 +299,7 @@ class GaussianBlurEvaluator final : public OpEvaluator {
   bool step(const bool* in) override {
     // Low 4 select bits address the 16-slot weight expansion.
     const std::uint32_t r = source_->next() & 15u;
-    return in[kSelectTable[r]];
+    return in[img::kGaussianSelect16[r]];
   }
 
   void process(sc::span<const Bitstream* const> ins,
@@ -312,7 +313,8 @@ class GaussianBlurEvaluator final : public OpEvaluator {
       Bitstream::Word pick[9] = {};
       const std::size_t bits = std::min<std::size_t>(64, n - j * 64);
       for (std::size_t b = 0; b < bits; ++b) {
-        pick[kSelectTable[slots_[j * 64 + b]]] |= Bitstream::Word{1} << b;
+        pick[img::kGaussianSelect16[slots_[j * 64 + b]]] |=
+            Bitstream::Word{1} << b;
       }
       Bitstream::Word acc = 0;
       for (std::size_t k = 0; k < 9; ++k) acc |= pick[k] & ins[k]->words()[j];
@@ -320,18 +322,10 @@ class GaussianBlurEvaluator final : public OpEvaluator {
     }
   }
 
-  static constexpr double kWeights[9] = {1, 2, 1, 2, 4, 2, 1, 2, 1};
-
  private:
-  // Each window index appears weight-many times (binomial expansion).
-  static constexpr std::uint8_t kSelectTable[16] = {0, 1, 1, 2, 3, 3, 4, 4,
-                                                    4, 4, 5, 5, 6, 7, 7, 8};
   rng::RandomSourcePtr source_;
   std::vector<std::uint8_t> slots_;
 };
-
-constexpr double GaussianBlurEvaluator::kWeights[9];
-constexpr std::uint8_t GaussianBlurEvaluator::kSelectTable[16];
 
 /// Roberts-cross edge magnitude (§IV pipeline stage): XOR the two window
 /// diagonals, scale-add the gradients with a private MUX select.  Operands
@@ -574,7 +568,7 @@ void register_builtins(OperatorRegistry& reg) {
     def.exact = [](sc::span<const double> v) {
       double sum = 0.0;
       for (std::size_t i = 0; i < 9; ++i) {
-        sum += GaussianBlurEvaluator::kWeights[i] * v[i];
+        sum += img::kGaussianWeights16[i] * v[i];
       }
       return sum / 16.0;
     };

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <cstdint>
 
 #include "img/image.hpp"
 
@@ -19,6 +21,23 @@ namespace sc::img {
 inline constexpr std::array<int, 9> kGaussianWeights16 = {1, 2, 1,
                                                           2, 4, 2,
                                                           1, 2, 1};
+
+/// The SC blur's weight decoder: 16-slot binomial expansion of
+/// kGaussianWeights16, mapping a uniform 4-bit select value to the window
+/// index (row-major) it picks — index k fills kGaussianWeights16[k] slots,
+/// so a 9-to-1 MUX tree driven by it averages with the kernel's weights.
+/// Shared by the tile engine (sc_pipeline.cpp) and the registry's
+/// "gaussian-blur-3x3" operator.
+inline constexpr std::array<std::uint8_t, 16> kGaussianSelect16 = [] {
+  std::array<std::uint8_t, 16> table{};
+  std::size_t slot = 0;
+  for (std::size_t k = 0; k < kGaussianWeights16.size(); ++k) {
+    for (int r = 0; r < kGaussianWeights16[k]; ++r) {
+      table[slot++] = static_cast<std::uint8_t>(k);
+    }
+  }
+  return table;
+}();
 
 /// 3x3 Gaussian blur with border-clamped sampling.
 Image gaussian_blur3(const Image& input);

@@ -1,40 +1,28 @@
 #include "img/sc_pipeline.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/encoding.hpp"
+#include "common/bitops.hpp"
+#include "common/simd.hpp"
 #include "convert/regenerator.hpp"
-#include "core/pair_transform.hpp"
-#include "core/synchronizer.hpp"
 #include "engine/batch.hpp"
 #include "engine/session.hpp"
 #include "hw/designs.hpp"
 #include "img/kernels.hpp"
+#include "kernel/kernels.hpp"
 #include "rng/lfsr.hpp"
 
 namespace sc::img {
 namespace {
 
-using sc::Bitstream;
-
-/// Cumulative 16-slot thresholds of the binomial kernel: a uniform value
-/// u in [0,16) selects neighbor k iff u < threshold[k] and u >= threshold[k-1].
-constexpr std::array<int, 9> kCumulativeWeights = {1, 3, 4, 6, 10, 12, 13,
-                                                   15, 16};
-
-int select_neighbor(unsigned slot) {
-  for (int k = 0; k < 9; ++k) {
-    if (static_cast<int>(slot) < kCumulativeWeights[static_cast<std::size_t>(k)]) {
-      return k;
-    }
-  }
-  return 8;
-}
+using Word = Bitstream::Word;
 
 /// Per-run stream generation state: free-running LFSRs shared across tiles,
 /// exactly as a hardware tile engine would run them.
@@ -54,109 +42,147 @@ struct Generators {
   }
 };
 
-/// Simulates one output tile, writing its pixels into `output`.  Streams
-/// are produced by `gen`, whose LFSRs advance as a hardware tile engine's
-/// would; the caller decides whether generators free-run across tiles
-/// (serial engine) or are freshly seeded per tile (tile-engine array).
+/// Rejects configurations the tile engine cannot simulate.  These are
+/// exceptions, not asserts: in a Release build a zero bank count or tile
+/// side divides by zero, and a width outside 4..31 either biases the
+/// blur's 16-slot select decode or overflows the 2^w natural length.
+void validate(const Image& input, const PipelineConfig& config) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("img pipeline: ") + what);
+  };
+  if (input.empty()) reject("input image is empty");
+  if (config.stream_length == 0) reject("stream_length must be >= 1");
+  if (config.tile == 0) reject("tile must be >= 1");
+  if (config.input_banks == 0) reject("input_banks must be >= 1");
+  if (config.sng_width < 4 || config.sng_width > 31) {
+    reject("sng_width must be in 4..31");
+  }
+}
+
+/// The synchronizer variant's shared transition table (fetched once per
+/// run, so no tile or pixel pair touches the kernel layer's cache); null
+/// for the other variants.
+std::shared_ptr<const kernel::PairNibbleTable> sync_table(
+    Variant variant, const PipelineConfig& config) {
+  if (variant != Variant::kSynchronizer) return nullptr;
+  auto table = kernel::synchronizer_table(config.sync_depth);
+  if (!table) {
+    throw std::invalid_argument(
+        "img pipeline: sync_depth must be in 1..2047");
+  }
+  return table;
+}
+
+/// Simulates one output tile over packed words, writing its pixels into
+/// `output`.  Streams are produced by `gen`, whose LFSRs advance exactly as
+/// a hardware tile engine's would (every word-API draw leaves a register
+/// where the same number of per-cycle steps would); the caller decides
+/// whether generators free-run across tiles (serial engine) or are freshly
+/// seeded per tile (tile-engine array).  `synchronizers` is non-null iff
+/// the variant is kSynchronizer.
 void process_tile(const Image& input, Variant variant,
-                  const PipelineConfig& config, std::size_t tx, std::size_t ty,
-                  Generators& gen, Image& output) {
+                  const PipelineConfig& config,
+                  const kernel::PairNibbleTable* synchronizers, std::size_t tx,
+                  std::size_t ty, Generators& gen, Image& output) {
   const std::size_t n = config.stream_length;
+  const std::size_t words = (n + 63) / 64;
   const std::size_t t = config.tile;
-  const std::uint32_t natural =
-      static_cast<std::uint32_t>(1u << config.sng_width);
+  const std::uint32_t natural = std::uint32_t{1} << config.sng_width;
 
   const std::ptrdiff_t c0 = static_cast<std::ptrdiff_t>(tx * t);
   const std::ptrdiff_t r0 = static_cast<std::ptrdiff_t>(ty * t);
 
   // --- input SN generation: (t+3)^2 streams from the shared bank ----
-  // Bank traces are generated once per tile; every comparator on the
-  // same bank sees the same per-cycle random value.
-  const std::size_t in_side = t + 3;
-  std::vector<std::vector<std::uint32_t>> bank_trace(gen.banks.size());
-  for (std::size_t b = 0; b < gen.banks.size(); ++b) {
-    bank_trace[b].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      bank_trace[b][i] = gen.banks[b].next();
-    }
+  // Every comparator on a bank sees the same per-cycle random value, so
+  // each bank's trace is drawn once per tile and packed per pixel.
+  const std::size_t banks = gen.banks.size();
+  std::vector<std::uint32_t> bank_trace(banks * n);
+  for (std::size_t b = 0; b < banks; ++b) {
+    gen.banks[b].fill(bank_trace.data() + b * n, n);
   }
-  std::vector<Bitstream> in_streams(in_side * in_side);
+  const std::size_t in_side = t + 3;
+  std::vector<Word> in_words(in_side * in_side * words);
   for (std::size_t iy = 0; iy < in_side; ++iy) {
     for (std::size_t ix = 0; ix < in_side; ++ix) {
       const double pixel =
           input.at_clamped(c0 - 1 + static_cast<std::ptrdiff_t>(ix),
                            r0 - 1 + static_cast<std::ptrdiff_t>(iy));
-      const std::uint32_t level = unipolar_level(pixel, natural);
-      const std::size_t bank = (ix + iy) % gen.banks.size();
-      Bitstream s(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (bank_trace[bank][i] < level) s.set(i, true);
-      }
-      in_streams[iy * in_side + ix] = std::move(s);
+      simd::pack_compare_lt(bank_trace.data() + ((ix + iy) % banks) * n, n,
+                            unipolar_level(pixel, natural),
+                            in_words.data() + (iy * in_side + ix) * words);
     }
   }
 
   // --- Gaussian blur: shared select trace, 9-to-1 sampling ----------
-  const std::size_t gb_side = t + 1;
-  std::vector<int> gb_pick(n);
+  // The select trace is decoded once into nine masks (pick[k] marks the
+  // cycles that sample window pixel k); each blur output is then nine
+  // AND/OR word operations.
+  std::vector<std::uint8_t> slots(n);
+  gen.gb_select.fill_indices(slots.data(), n, 16);  // == next() & 15
+  std::vector<Word> pick(9 * words);
   for (std::size_t i = 0; i < n; ++i) {
-    gb_pick[i] = select_neighbor(gen.gb_select.next() & 15u);
+    pick[kGaussianSelect16[slots[i]] * words + i / 64] |= Word{1} << (i % 64);
   }
-  std::vector<Bitstream> gb_streams(gb_side * gb_side);
+  const std::size_t gb_side = t + 1;
+  std::vector<Word> gb_words(gb_side * gb_side * words);
   for (std::size_t gy = 0; gy < gb_side; ++gy) {
     for (std::size_t gx = 0; gx < gb_side; ++gx) {
-      Bitstream g(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const int k = gb_pick[i];
-        const std::size_t nx = gx + static_cast<std::size_t>(k % 3);
-        const std::size_t ny = gy + static_cast<std::size_t>(k / 3);
-        // Window of GB output (gx,gy) covers input pixels
-        // (gx .. gx+2, gy .. gy+2) in halo coordinates.
-        if (in_streams[ny * in_side + nx].get(i)) g.set(i, true);
+      // Window of GB output (gx,gy) covers input pixels
+      // (gx .. gx+2, gy .. gy+2) in halo coordinates.
+      Word* g = gb_words.data() + (gy * gb_side + gx) * words;
+      for (std::size_t k = 0; k < 9; ++k) {
+        const Word* in =
+            in_words.data() + ((gy + k / 3) * in_side + gx + k % 3) * words;
+        const Word* mask = pick.data() + k * words;
+        for (std::size_t w = 0; w < words; ++w) g[w] |= mask[w] & in[w];
       }
-      gb_streams[gy * gb_side + gx] = std::move(g);
     }
   }
 
   // --- variant: correlation manipulation between GB and ED ----------
   if (variant == Variant::kRegeneration) {
-    gb_streams = convert::regenerate_bus_correlated(gb_streams, gen.regen);
+    convert::regenerate_bus_correlated(gb_words.data(), words,
+                                       gb_side * gb_side, n, gen.regen);
   }
 
   // --- edge detection ------------------------------------------------
-  Bitstream ed_sel(n);
-  {
-    const std::uint32_t half = natural / 2;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (gen.ed_select.next() < half) ed_sel.set(i, true);
+  std::vector<Word> ed_sel(words);
+  gen.ed_select.fill_compare(ed_sel.data(), n, natural / 2);
+  // g1/g2 hold the two gradient streams; in the synchronizer variant each
+  // XOR pair first runs through a fresh synchronizer (state index = depth,
+  // i.e. zero credit) in the g and partner buffers.
+  std::vector<Word> scratch(3 * words);
+  Word* g1 = scratch.data();
+  Word* g2 = g1 + words;
+  Word* partner = g2 + words;
+  const auto gradient = [&](const Word* p, const Word* q, Word* g) {
+    if (synchronizers != nullptr) {
+      std::copy_n(p, words, g);
+      std::copy_n(q, words, partner);
+      kernel::run_pair_table(*synchronizers, config.sync_depth, g, partner, n);
+      p = g;
+      q = partner;
     }
-  }
+    for (std::size_t w = 0; w < words; ++w) g[w] = p[w] ^ q[w];
+  };
+  const auto gb = [&](std::size_t x, std::size_t y) {
+    return gb_words.data() + (y * gb_side + x) * words;
+  };
   for (std::size_t y = 0; y < t; ++y) {
     for (std::size_t x = 0; x < t; ++x) {
       const std::size_t ox = tx * t + x;
       const std::size_t oy = ty * t + y;
       if (ox >= input.width() || oy >= input.height()) continue;
 
-      const Bitstream& a = gb_streams[y * gb_side + x];
-      const Bitstream& d = gb_streams[(y + 1) * gb_side + (x + 1)];
-      const Bitstream& b = gb_streams[y * gb_side + (x + 1)];
-      const Bitstream& c = gb_streams[(y + 1) * gb_side + x];
-
-      Bitstream diff_ad;
-      Bitstream diff_bc;
-      if (variant == Variant::kSynchronizer) {
-        core::Synchronizer s1({config.sync_depth, false});
-        core::Synchronizer s2({config.sync_depth, false});
-        const sc::StreamPair ad = core::apply(s1, a, d);
-        const sc::StreamPair bc = core::apply(s2, b, c);
-        diff_ad = ad.x ^ ad.y;
-        diff_bc = bc.x ^ bc.y;
-      } else {
-        diff_ad = a ^ d;
-        diff_bc = b ^ c;
+      gradient(gb(x, y), gb(x + 1, y + 1), g1);  // |a - d|
+      gradient(gb(x + 1, y), gb(x, y + 1), g2);  // |b - c|
+      // MUX scaled add (select picks g2), counted by the S/D converter.
+      std::size_t ones = 0;
+      for (std::size_t w = 0; w < words; ++w) {
+        ones += static_cast<std::size_t>(
+            popcount64((ed_sel[w] & g2[w]) | (~ed_sel[w] & g1[w])));
       }
-      const Bitstream ed = Bitstream::mux(diff_ad, diff_bc, ed_sel);
-      output.at(ox, oy) = ed.value();
+      output.at(ox, oy) = static_cast<double>(ones) / static_cast<double>(n);
     }
   }
 }
@@ -273,7 +299,8 @@ hw::Netlist pipeline_overhead_netlist(Variant variant,
 
 PipelineResult run_pipeline(const Image& input, Variant variant,
                             const PipelineConfig& config) {
-  assert(!input.empty());
+  validate(input, config);
+  const auto synchronizers = sync_table(variant, config);
   const std::size_t t = config.tile;
 
   PipelineResult result;
@@ -289,7 +316,8 @@ PipelineResult run_pipeline(const Image& input, Variant variant,
 
   for (std::size_t ty = 0; ty < tiles_y; ++ty) {
     for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-      process_tile(input, variant, config, tx, ty, gen, result.output);
+      process_tile(input, variant, config, synchronizers.get(), tx, ty, gen,
+                   result.output);
     }
   }
 
@@ -301,7 +329,8 @@ PipelineResult run_pipeline(const Image& input, Variant variant,
 PipelineResult run_pipeline_tiled(const Image& input, Variant variant,
                                   const PipelineConfig& config,
                                   engine::Session& session) {
-  assert(!input.empty());
+  validate(input, config);
+  const auto synchronizers = sync_table(variant, config);
   const std::size_t t = config.tile;
 
   PipelineResult result;
@@ -324,8 +353,9 @@ PipelineResult run_pipeline_tiled(const Image& input, Variant variant,
     // mask them down to sng_width bits.
     tile_config.seed = engine::strided_seed32(config.seed, tile_index);
     Generators gen(tile_config);
-    process_tile(input, variant, tile_config, tile_index % tiles_x,
-                 tile_index / tiles_x, gen, result.output);
+    process_tile(input, variant, tile_config, synchronizers.get(),
+                 tile_index % tiles_x, tile_index / tiles_x, gen,
+                 result.output);
   });
 
   result.error = mean_abs_error(result.output, result.reference);

@@ -51,12 +51,13 @@ enum class Variant {
 
 std::string to_string(Variant variant);
 
-/// Accelerator parameters.
+/// Accelerator parameters (validated by run_pipeline / run_pipeline_tiled).
 struct PipelineConfig {
-  std::size_t stream_length = 256;  ///< N (bits per stream)
-  std::size_t tile = 10;            ///< output tile side (paper: 10)
-  unsigned sng_width = 8;           ///< SNG comparator/RNG width (N = 2^w)
-  unsigned input_banks = 8;         ///< input LFSR bank size
+  std::size_t stream_length = 256;  ///< N (bits per stream), >= 1
+  std::size_t tile = 10;            ///< output tile side (paper: 10), >= 1
+  unsigned sng_width = 8;           ///< SNG comparator/RNG width (N = 2^w),
+                                    ///< 4..31 (the blur select needs 4 bits)
+  unsigned input_banks = 8;         ///< input LFSR bank size, >= 1
   unsigned sync_depth = 2;          ///< synchronizer save depth D
   std::uint32_t seed = 7;           ///< base LFSR seed
   double clock_hz = 100e6;          ///< cost-model operating point
@@ -82,19 +83,25 @@ struct PipelineResult {
   PipelineCost cost;
 };
 
-/// Simulates the accelerator bit-by-bit on `input` and accounts its
-/// hardware cost (paper Table IV row for the given variant).
+/// Simulates the accelerator on `input` and accounts its hardware cost
+/// (paper Table IV row for the given variant).  The simulation is
+/// word-parallel — 64 cycles per word operation, synchronizers through the
+/// kernel layer's nibble table — and produces exactly the bits of the
+/// cycle-level circuit.  Throws std::invalid_argument for an empty image,
+/// stream_length, tile or input_banks of 0, sng_width outside 4..31, or
+/// (synchronizer variant) sync_depth outside 1..2047.
 PipelineResult run_pipeline(const Image& input, Variant variant,
                             const PipelineConfig& config = {});
 
 /// Tile-parallel simulation: fans the image's tiles across the session's
-/// thread pool.  Unlike run_pipeline (one tile engine whose LFSRs free-run
-/// across tiles), every tile runs on its own generators seeded
-/// deterministically from (config.seed, tile index) — the analog of an
-/// array of tile engines.  The output is therefore a function of `config`
-/// alone: bit-identical for every thread count, but not bit-identical to
-/// the serial engine's free-running schedule (both are valid hardware
-/// realizations with statistically equivalent accuracy).
+/// thread pool (same tile engine and validation as run_pipeline).  Unlike
+/// run_pipeline (one tile engine whose LFSRs free-run across tiles), every
+/// tile runs on its own generators seeded deterministically from
+/// (config.seed, tile index) — the analog of an array of tile engines.  The
+/// output is therefore a function of `config` alone: bit-identical for
+/// every thread count, but not bit-identical to the serial engine's
+/// free-running schedule (both are valid hardware realizations with
+/// statistically equivalent accuracy).
 PipelineResult run_pipeline_tiled(const Image& input, Variant variant,
                                   const PipelineConfig& config,
                                   engine::Session& session);

@@ -67,6 +67,8 @@ std::shared_ptr<const Value> cached(
   return value;
 }
 
+}  // namespace
+
 std::shared_ptr<const PairNibbleTable> synchronizer_table(unsigned depth) {
   // State count computed in 64 bits: a wrapped count would pass the cap
   // check and build an undersized table (out-of-bounds lookups later).
@@ -87,6 +89,8 @@ std::shared_ptr<const PairNibbleTable> synchronizer_table(unsigned depth) {
         }));
   });
 }
+
+namespace {
 
 std::shared_ptr<const PairNibbleTable> desynchronizer_table(unsigned depth) {
   // State index = ((saved_x * (depth + 1) + saved_y) << 1) | save_from_x.
@@ -205,11 +209,10 @@ std::shared_ptr<const std::vector<std::uint64_t>> tfm_jump_table(
   });
 }
 
+}  // namespace
+
 // ----------------------------------------------------- nibble-table driver
 
-/// Advances `bits` cycles of both streams in place through a nibble table.
-/// Bits beyond `bits` in the final word are preserved (they may belong to
-/// a serial tail still to be stepped).  Returns the successor state.
 unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
                         Word* xw, Word* yw, std::size_t bits) {
   std::size_t w = 0;
@@ -257,6 +260,8 @@ unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
   }
   return state;
 }
+
+namespace {
 
 // -------------------------------------------- synchronizer / desynchronizer
 

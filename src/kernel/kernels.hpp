@@ -43,6 +43,23 @@
 
 namespace sc::kernel {
 
+class PairNibbleTable;
+
+/// The process-wide (state, 4 input bit-pairs) transition table of a
+/// depth-`depth` synchronizer (core::Synchronizer::transition, no flush),
+/// built on first request; state index = credit + depth, so a fresh FSM
+/// starts at index `depth`.  nullptr for depth 0 or above the table cap
+/// (2047).  Callers running many fresh synchronizers fetch it once and
+/// drive it with run_pair_table.
+std::shared_ptr<const PairNibbleTable> synchronizer_table(unsigned depth);
+
+/// Advances `bits` cycles of both packed streams in place through a
+/// nibble table from state index `state`; returns the successor state.
+/// Bits at positions >= `bits` in the final word are preserved.
+unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
+                        Bitstream::Word* xw, Bitstream::Word* yw,
+                        std::size_t bits);
+
 /// Word-level driver of a two-stream FSM.
 class PairKernel {
  public:

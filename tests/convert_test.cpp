@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bitstream/correlation.hpp"
@@ -224,6 +226,52 @@ TEST(Regenerator, BusCorrelatedSharedRngGivesSccPlusOne) {
   EXPECT_DOUBLE_EQ(scc(outputs[0], outputs[1]), 1.0);
   EXPECT_DOUBLE_EQ(scc(outputs[0], outputs[2]), 1.0);
   EXPECT_DOUBLE_EQ(scc(outputs[1], outputs[2]), 1.0);
+}
+
+TEST(Regenerator, BusCorrelatedMatchesPerCycleComparatorsAndWordForm) {
+  // Odd length (partial last word), an all-zero and an all-ones stream
+  // (full scale: at width 32 the level 2^32 exceeds the 32-bit compare).
+  for (const unsigned width : {8u, 32u}) {
+    const std::size_t n = 333;
+    std::vector<Bitstream> inputs = {test::lfsr_stream(90, 2, n),
+                                     Bitstream(n, false), Bitstream(n, true)};
+    rng::Lfsr shared(width, 77);
+    std::unique_ptr<rng::RandomSource> reference = shared.clone();
+    std::vector<std::uint32_t> trace(n);
+    for (std::uint32_t& v : trace) v = reference->next();
+
+    const auto outputs = regenerate_bus_correlated(inputs, *shared.clone());
+    ASSERT_EQ(outputs.size(), inputs.size());
+    // Word form in place, streams 7 words apart (stride > 6 used words).
+    const std::size_t stride = 7;
+    std::vector<std::uint64_t> words(inputs.size() * stride);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      std::copy(inputs[k].words().begin(), inputs[k].words().end(),
+                words.begin() + static_cast<std::ptrdiff_t>(k * stride));
+    }
+    regenerate_bus_correlated(words.data(), stride, inputs.size(), n, shared);
+    EXPECT_EQ(shared.state(), static_cast<rng::Lfsr&>(*reference).state())
+        << "word form must draw exactly n values";
+
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      const std::uint64_t level =
+          (inputs[k].count_ones() * shared.range() + n / 2) / n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool bit = trace[i] < level;
+        ASSERT_EQ(outputs[k].get(i), bit) << "width " << width << " stream "
+                                          << k << " bit " << i;
+        ASSERT_EQ(((words[k * stride + i / 64] >> (i % 64)) & 1u) != 0, bit);
+      }
+      EXPECT_EQ(words[k * stride + 6], 0u) << "stride padding untouched";
+    }
+  }
+}
+
+TEST(Regenerator, BusCorrelatedRejectsMismatchedLengths) {
+  rng::Lfsr shared(8, 41);
+  EXPECT_THROW(
+      (void)regenerate_bus_correlated({Bitstream(64), Bitstream(65)}, shared),
+      std::invalid_argument);
 }
 
 TEST(Regenerator, BusUncorrelatedPerStreamSources) {

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
+#include "engine/session.hpp"
 #include "hw/cost.hpp"
 #include "hw/designs.hpp"
 #include "img/image.hpp"
@@ -190,6 +194,61 @@ TEST(Pipeline, OverheadNetlistsMatchUnitCounts) {
       pipeline_overhead_netlist(Variant::kRegeneration, config);
   // 121 regenerators (16 flops each: counter + hold) + shared 8-bit LFSR.
   EXPECT_EQ(regen_overhead.count(hw::Cell::kDff), 121u * 16u + 8u);
+}
+
+// Invalid configurations throw std::invalid_argument from both entry
+// points — exceptions, not asserts, so these hold under NDEBUG too.
+void expect_rejected(const std::function<void(PipelineConfig&)>& mutate,
+                     const Image& input = test_scene()) {
+  PipelineConfig config = small_config();
+  mutate(config);
+  engine::Session session({2});
+  const Variant variant = Variant::kSynchronizer;
+  EXPECT_THROW((void)run_pipeline(input, variant, config),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_pipeline_tiled(input, variant, config, session),
+               std::invalid_argument);
+}
+
+TEST(PipelineConfigValidation, ZeroInputBanksThrows) {
+  expect_rejected([](PipelineConfig& c) { c.input_banks = 0; });
+}
+
+TEST(PipelineConfigValidation, ZeroTileThrows) {
+  expect_rejected([](PipelineConfig& c) { c.tile = 0; });
+}
+
+TEST(PipelineConfigValidation, WidthTooNarrowForBlurSelectThrows) {
+  // The blur's 16-slot select needs 4 RNG bits; width 3 would bias it.
+  expect_rejected([](PipelineConfig& c) { c.sng_width = 3; });
+  expect_rejected([](PipelineConfig& c) { c.sng_width = 0; });
+}
+
+TEST(PipelineConfigValidation, WidthThirtyTwoThrows) {
+  expect_rejected([](PipelineConfig& c) { c.sng_width = 32; });
+}
+
+TEST(PipelineConfigValidation, ZeroStreamLengthThrows) {
+  expect_rejected([](PipelineConfig& c) { c.stream_length = 0; });
+}
+
+TEST(PipelineConfigValidation, EmptyImageThrows) {
+  expect_rejected([](PipelineConfig&) {}, Image());
+}
+
+TEST(PipelineConfigValidation, ZeroSyncDepthThrowsForSynchronizerVariant) {
+  expect_rejected([](PipelineConfig& c) { c.sync_depth = 0; });
+}
+
+TEST(PipelineConfigValidation, WidthRangeEndpointsAreAccepted) {
+  const Image small = Image::synthetic_scene(6, 5, 1);
+  for (const unsigned width : {4u, 31u}) {
+    PipelineConfig config = small_config();
+    config.sng_width = width;
+    config.stream_length = 64;
+    const auto result = run_pipeline(small, Variant::kSynchronizer, config);
+    EXPECT_LT(result.error, 0.5) << "width " << width;
+  }
 }
 
 }  // namespace
