@@ -1,13 +1,13 @@
 /// \file bench_kernel_fsm.cpp
-/// Bit-serial vs table-driven throughput of the correlation circuits.
+/// Bit-serial vs word-level kernel throughput of the correlation circuits.
 ///
 /// Runs each FSM (synchronizer, desynchronizer, decorrelator, TFM pair)
-/// over the same chunked long-stream workload twice — once with
-/// KernelPolicy::kSerial (one virtual step() per cycle, the reference
-/// path) and once with KernelPolicy::kAuto (the src/kernel/ table-driven
-/// word-parallel path) — and reports Mbit/s per circuit, the speedup, and
-/// whether the two runs produced identical overlap statistics (they must:
-/// the kernels are bit-identical by construction and by test).
+/// over the same long input pair twice — once through core::apply (one
+/// virtual step() per cycle, the reference semantics) and once chunked
+/// through engine::run_chunked_pair (the src/kernel/ word-parallel path)
+/// — and reports Mbit/s per circuit, the speedup, and whether the two
+/// runs produced identical overlap statistics (they must: the kernels are
+/// bit-identical by construction and by test).
 ///
 /// Harness bench (bench_harness.hpp): median-of-reps timing with warmup,
 /// sc-bench-v1 JSON.  Cases: kernel_fsm/<circuit>/{serial,kernel}
@@ -26,8 +26,10 @@
 #include <vector>
 
 #include "bench_harness.hpp"
+#include "bitstream/correlation.hpp"
 #include "core/decorrelator.hpp"
 #include "core/desynchronizer.hpp"
+#include "core/pair_transform.hpp"
 #include "core/synchronizer.hpp"
 #include "core/tfm.hpp"
 #include "engine/chunked_stream.hpp"
@@ -35,24 +37,31 @@
 
 namespace {
 
-using sc::engine::KernelPolicy;
+using TransformFactory =
+    std::function<std::unique_ptr<sc::core::PairTransform>()>;
 
-/// One chunked run of `make_transform()` over pre-materialized input
-/// streams (so the measurement isolates FSM throughput; input generation
-/// is identical for both policies and would only compress the ratio).
-/// `counts` receives the joint overlap statistics for the identity check
-/// between policies.
-void run_once(const std::function<std::unique_ptr<sc::core::PairTransform>()>&
-                  make_transform,
-              const sc::Bitstream& x, const sc::Bitstream& y,
-              KernelPolicy policy, sc::OverlapCounts* counts) {
+// Both runs read pre-materialized input streams, so the measurement
+// isolates FSM throughput (input generation is identical for both and
+// would only compress the ratio).  `counts` receives the joint overlap
+// statistics for the identity check between the two.
+
+/// Reference run: core::apply, one virtual step() per cycle.
+void run_serial(const TransformFactory& make_transform, const sc::Bitstream& x,
+                const sc::Bitstream& y, sc::OverlapCounts* counts) {
+  const std::unique_ptr<sc::core::PairTransform> transform = make_transform();
+  const sc::StreamPair out = sc::core::apply(*transform, x, y);
+  *counts = sc::overlap(out.x, out.y);
+}
+
+/// Kernel run: chunked through the engine driver's word-level kernels.
+void run_kernel(const TransformFactory& make_transform, const sc::Bitstream& x,
+                const sc::Bitstream& y, sc::OverlapCounts* counts) {
   using namespace sc;
   engine::BitstreamChunkSource sx(x);
   engine::BitstreamChunkSource sy(y);
   const std::unique_ptr<core::PairTransform> transform = make_transform();
   engine::PairStatsSink sink;
-  engine::run_chunked_pair(sx, sy, transform.get(), sink,
-                           engine::kDefaultChunkBits, policy);
+  engine::run_chunked_pair(sx, sy, transform.get(), sink);
   *counts = sink.counts();
 }
 
@@ -80,34 +89,31 @@ int main(int argc, char** argv) {
   const std::size_t bits = std::size_t{1} << log2_bits;
   const std::string config = "bits=" + std::to_string(log2_bits);
 
-  const std::vector<
-      std::pair<std::string,
-                std::function<std::unique_ptr<core::PairTransform>()>>>
-      circuits = {
-          {"synchronizer",
-           [] {
-             return std::make_unique<core::Synchronizer>(
-                 core::Synchronizer::Config{2, true, 0});
-           }},
-          {"desynchronizer",
-           [] {
-             return std::make_unique<core::Desynchronizer>(
-                 core::Desynchronizer::Config{2, false, true});
-           }},
-          {"decorrelator",
-           [] {
-             return std::make_unique<core::Decorrelator>(
-                 8, std::make_unique<rng::Lfsr>(16, 0xBEEF),
-                 std::make_unique<rng::Lfsr>(16, 0xCAFE, 5));
-           }},
-          {"tfm",
-           [] {
-             return std::make_unique<core::TfmPair>(
-                 core::TrackingForecastMemory::Config{8, 3, 0.5},
-                 std::make_unique<rng::Lfsr>(8, 0x1D),
-                 std::make_unique<rng::Lfsr>(8, 0x2E));
-           }},
-      };
+  const std::vector<std::pair<std::string, TransformFactory>> circuits = {
+    {"synchronizer",
+     [] {
+       return std::make_unique<core::Synchronizer>(
+           core::Synchronizer::Config{2, true, 0});
+     }},
+    {"desynchronizer",
+     [] {
+       return std::make_unique<core::Desynchronizer>(
+           core::Desynchronizer::Config{2, false, true});
+     }},
+    {"decorrelator",
+     [] {
+       return std::make_unique<core::Decorrelator>(
+           8, std::make_unique<rng::Lfsr>(16, 0xBEEF),
+           std::make_unique<rng::Lfsr>(16, 0xCAFE, 5));
+     }},
+    {"tfm",
+     [] {
+       return std::make_unique<core::TfmPair>(
+           core::TrackingForecastMemory::Config{8, 3, 0.5},
+           std::make_unique<rng::Lfsr>(8, 0x1D),
+           std::make_unique<rng::Lfsr>(8, 0x2E));
+     }},
+  };
 
   // Input pair materialized once: a correlated comparator-SNG pair, the
   // workload the correlation circuits exist to manipulate.
@@ -142,16 +148,14 @@ int main(int argc, char** argv) {
         "kernel_fsm/" + name + "/serial", "mbit_per_s",
         static_cast<double>(bits), 1e6,
         [&] {
-          run_once(make_transform, input_x, input_y, KernelPolicy::kSerial,
-                   &serial_counts);
+          run_serial(make_transform, input_x, input_y, &serial_counts);
         },
         config);
     const double kernel_s = harness.time_case(
         "kernel_fsm/" + name + "/kernel", "mbit_per_s",
         static_cast<double>(bits), 1e6,
         [&] {
-          run_once(make_transform, input_x, input_y, KernelPolicy::kAuto,
-                   &kernel_counts);
+          run_kernel(make_transform, input_x, input_y, &kernel_counts);
         },
         config);
     const bool identical = serial_counts.a == kernel_counts.a &&

@@ -13,11 +13,12 @@
 ///   SC_SIMD=avx2                cap at the AVX2 tier (x86 only)
 ///   SC_SIMD=avx512 | on | auto  no cap (the default)
 ///
-/// The forced-scalar override is the differential-testing escape hatch:
-/// with SC_SIMD=off the RNG-coupled kernels fall back to their per-cycle
-/// table/direct paths, so golden corpora and conformance fixtures can be
-/// replayed against both datapaths.  The variable is read once, at the
-/// first dispatch, and cached for the process lifetime.
+/// The forced-scalar and AVX2 overrides are the differential-testing
+/// escape hatch: the kernel layer's word paths run on every tier (with
+/// SC_SIMD=off on each primitive's scalar twin), so golden corpora and
+/// conformance fixtures can be replayed against each tier by name.  The
+/// variable is read once, at the first dispatch, and cached for the
+/// process lifetime.
 
 #pragma once
 
@@ -39,11 +40,6 @@ Tier active_tier();
 
 /// Human-readable name of a tier ("scalar", "avx2", "avx512").
 const char* tier_name(Tier tier);
-
-/// True when the word-parallel kernel datapaths should engage (any tier
-/// above scalar).  SC_SIMD=off turns this off, which routes every
-/// RNG-coupled kernel back to its per-cycle scalar reference path.
-inline bool word_parallel_enabled() { return active_tier() != Tier::kScalar; }
 
 // ------------------------------------------------------------ bit packing
 

@@ -35,7 +35,7 @@ class Decorrelator final : public PairTransform {
 
   [[nodiscard]] std::size_t depth() const { return buffer_x_.depth(); }
 
-  /// The underlying buffers, exposed for the table-driven kernel layer.
+  /// The underlying buffers, exposed for the word-level kernel layer.
   ShuffleBuffer& buffer_x() { return buffer_x_; }
   ShuffleBuffer& buffer_y() { return buffer_y_; }
 
@@ -65,7 +65,7 @@ class DecorrelatorChainLink final : public PairTransform {
 
   [[nodiscard]] std::size_t depth() const { return buffer_.depth(); }
 
-  /// The underlying buffer, exposed for the table-driven kernel layer.
+  /// The underlying buffer, exposed for the word-level kernel layer.
   ShuffleBuffer& buffer() { return buffer_; }
 
  private:

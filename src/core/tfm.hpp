@@ -49,7 +49,7 @@ class TrackingForecastMemory final : public StreamTransform {
   /// Current probability estimate in [0, 1].
   [[nodiscard]] double estimate() const;
 
-  /// Pure EMA update, exposed for the table-driven kernels (src/kernel/):
+  /// Pure EMA update, exposed for the TFM word kernel (src/kernel/):
   /// the estimate after consuming `in`, before output regeneration.
   static std::int32_t next_estimate(std::int32_t estimate, bool in,
                                     unsigned shift, std::int32_t scale) {
@@ -85,7 +85,7 @@ class TfmPair final : public PairTransform {
   BitPair step(bool x, bool y) override;
   void reset() override;
 
-  /// The underlying TFMs, exposed for the table-driven kernel layer.
+  /// The underlying TFMs, exposed for the word-level kernel layer.
   TrackingForecastMemory& tfm_x() { return tfm_x_; }
   TrackingForecastMemory& tfm_y() { return tfm_y_; }
 

@@ -1,7 +1,6 @@
 #include "engine/chunked_stream.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 #include "kernel/apply.hpp"
@@ -14,7 +13,9 @@ namespace sc::engine {
 SngChunkSource::SngChunkSource(rng::RandomSourcePtr source,
                                std::uint64_t level, std::size_t length)
     : source_(std::move(source)), level_(level), length_(length) {
-  assert(source_ != nullptr);
+  if (source_ == nullptr) {
+    throw std::invalid_argument("SngChunkSource: null random source");
+  }
 }
 
 std::size_t SngChunkSource::next_chunk(Bitstream& chunk,
@@ -122,16 +123,14 @@ void CollectPairSink::consume(const Bitstream& chunk_x,
 
 ChunkedRunStats run_chunked(ChunkSource& source,
                             core::StreamTransform* transform, ChunkSink& sink,
-                            std::size_t chunk_bits, KernelPolicy policy) {
+                            std::size_t chunk_bits) {
   if (chunk_bits == 0) throw std::invalid_argument("chunk_bits must be > 0");
 
   ChunkedRunStats stats;
   std::unique_ptr<kernel::StreamKernel> kern;
   if (transform != nullptr) {
     transform->begin_stream(source.length());
-    if (policy == KernelPolicy::kAuto) {
-      kern = kernel::make_stream_kernel(*transform);
-    }
+    kern = kernel::make_stream_kernel(*transform);
   }
 
   Bitstream chunk;
@@ -155,7 +154,7 @@ ChunkedRunStats run_chunked(ChunkSource& source,
 ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
                                  core::PairTransform* transform,
                                  PairChunkSink& sink,
-                                 std::size_t chunk_bits, KernelPolicy policy) {
+                                 std::size_t chunk_bits) {
   if (chunk_bits == 0) throw std::invalid_argument("chunk_bits must be > 0");
   if (source_x.length() != source_y.length()) {
     throw std::invalid_argument("pair sources must have equal length");
@@ -166,8 +165,7 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
   // the begin/kernel/advance/finish protocol.
   std::unique_ptr<kernel::ChunkedPairApplier> applier;
   if (transform != nullptr) {
-    applier = std::make_unique<kernel::ChunkedPairApplier>(
-        *transform, policy == KernelPolicy::kAuto);
+    applier = std::make_unique<kernel::ChunkedPairApplier>(*transform);
     applier->begin(source_x.length());
   }
 
@@ -197,8 +195,7 @@ ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
 }
 
 std::vector<ChunkedRunStats> run_chunked_lanes(
-    const std::vector<PairLane>& lanes, std::size_t chunk_bits,
-    KernelPolicy policy) {
+    const std::vector<PairLane>& lanes, std::size_t chunk_bits) {
   if (chunk_bits == 0) throw std::invalid_argument("chunk_bits must be > 0");
   for (const PairLane& lane : lanes) {
     if (lane.source_x == nullptr || lane.source_y == nullptr ||
@@ -218,8 +215,8 @@ std::vector<ChunkedRunStats> run_chunked_lanes(
   std::vector<ChunkedRunStats> stats(lanes.size());
   for (std::size_t l = 0; l < lanes.size(); ++l) {
     if (lanes[l].transform != nullptr) {
-      states[l].applier = std::make_unique<kernel::ChunkedPairApplier>(
-          *lanes[l].transform, policy == KernelPolicy::kAuto);
+      states[l].applier =
+          std::make_unique<kernel::ChunkedPairApplier>(*lanes[l].transform);
       states[l].applier->begin(lanes[l].source_x->length());
     }
   }

@@ -70,6 +70,7 @@ class SngChunkSource final : public ChunkSource {
   /// 64-bit so a width-32 source's full-scale level 2^32 does not wrap
   /// (same class of bug as Sng::natural_length_);
   /// \param length total bits to produce.
+  /// Throws std::invalid_argument when source is null.
   SngChunkSource(rng::RandomSourcePtr source, std::uint64_t level,
                  std::size_t length);
 
@@ -179,33 +180,23 @@ struct ChunkedRunStats {
   std::size_t peak_buffer_bits = 0;  ///< high-water mark of live chunk buffers
 };
 
-/// How the drivers advance the FSM across each chunk.
-enum class KernelPolicy {
-  /// Table-driven word-parallel kernels (src/kernel/) when the transform
-  /// has one, bit-serial step() otherwise.  Output is bit-identical either
-  /// way; this is the default whole-stream path.
-  kAuto,
-  /// Always one virtual step() per cycle — the reference implementation,
-  /// kept selectable for differential tests and benchmarks.
-  kSerial,
-};
-
 /// Streams `source` through an optional per-cycle FSM into `sink`,
 /// chunk-at-a-time.  Passing nullptr for `transform` reduces the source
-/// directly.  The FSM is *not* reset: like core::apply, the caller controls
-/// initial state; begin_stream(total) is issued before the first chunk.
+/// directly.  The FSM advances through its word-level kernel (src/kernel/)
+/// when it has one and through its bit-serial step() otherwise; output is
+/// bit-identical either way.  The FSM is *not* reset: like core::apply,
+/// the caller controls initial state; begin_stream(total) is issued before
+/// the first chunk.
 ChunkedRunStats run_chunked(ChunkSource& source,
                             core::StreamTransform* transform, ChunkSink& sink,
-                            std::size_t chunk_bits = kDefaultChunkBits,
-                            KernelPolicy policy = KernelPolicy::kAuto);
+                            std::size_t chunk_bits = kDefaultChunkBits);
 
 /// Pair version: streams two sources through a PairTransform FSM into a
 /// pair sink.  Sources must have equal length.
 ChunkedRunStats run_chunked_pair(ChunkSource& source_x, ChunkSource& source_y,
                                  core::PairTransform* transform,
                                  PairChunkSink& sink,
-                                 std::size_t chunk_bits = kDefaultChunkBits,
-                                 KernelPolicy policy = KernelPolicy::kAuto);
+                                 std::size_t chunk_bits = kDefaultChunkBits);
 
 /// One independent pair job for the batched driver below.  All pointers
 /// are non-owning and must outlive the run; `transform` may be nullptr
@@ -229,7 +220,6 @@ struct PairLane {
 /// the RNG blocks and tables stay hot in cache.
 std::vector<ChunkedRunStats> run_chunked_lanes(
     const std::vector<PairLane>& lanes,
-    std::size_t chunk_bits = kDefaultChunkBits,
-    KernelPolicy policy = KernelPolicy::kAuto);
+    std::size_t chunk_bits = kDefaultChunkBits);
 
 }  // namespace sc::engine

@@ -13,7 +13,7 @@
 ///    same bits because every decision hashes the absolute index.
 ///
 ///  * wrap_fsm_faults decorates a planned fix's PairTransform with the
-///    op's matching FsmFaults.  The wrapper has no table-driven kernel, so
+///    op's matching FsmFaults.  The wrapper has no word-level kernel, so
 ///    every backend drives it bit-serially (the kernel layer's documented
 ///    fallback) and the corruption lands on the same cycle everywhere,
 ///    chunk boundaries included.
@@ -109,7 +109,7 @@ void apply_edge_faults(const ResolvedFaultPlan& resolved, graph::NodeId id,
 /// Wraps `transform` (a planned fix of op node `id`, at position `lane`
 /// in its fixes_for order) with the matching FSM faults.  Returns the
 /// transform unchanged when none match, so fault-free fixes keep their
-/// table-driven kernels.
+/// word-level kernels.
 std::unique_ptr<core::PairTransform> wrap_fsm_faults(
     std::unique_ptr<core::PairTransform> transform,
     const ResolvedFaultPlan& resolved, graph::NodeId id, unsigned lane);

@@ -7,7 +7,7 @@
 ///  * ReferenceBackend — everything bit-serial: operators step one cycle
 ///    at a time, planned fixes run the per-cycle FSMs (core::apply).  The
 ///    semantics oracle.
-///  * KernelBackend — whole-stream with the table-driven kernel layer
+///  * KernelBackend — whole-stream with the word-level kernel layer
 ///    (src/kernel/) for fixes and the operators' word-parallel paths.
 ///  * EngineBackend — chunked streaming: node streams advance one
 ///    fixed-size chunk at a time with FSM/evaluator state carried across

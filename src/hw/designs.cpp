@@ -3,6 +3,8 @@
 #include "common/bitops.hpp"
 #include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sc::hw {
 
@@ -83,11 +85,19 @@ Netlist flush_tracker(unsigned offset_bits) {
   return n;
 }
 
+/// Depth is caller-supplied (PlannerConfig reaches it), so it is checked
+/// in every build: a depth-0 design would price a circuit that cannot run.
+void require_depth(std::size_t depth, const char* design) {
+  if (depth < 1) {
+    throw std::invalid_argument(std::string(design) + ": depth must be >= 1");
+  }
+}
+
 }  // namespace
 
 Netlist synchronizer_netlist(unsigned depth, bool flush,
                              unsigned offset_bits) {
-  assert(depth >= 1);
+  require_depth(depth, "synchronizer_netlist");
   std::ostringstream label;
   label << "sync(D=" << depth << (flush ? ",flush" : "") << ")";
   const unsigned bits = state_bits(2 * static_cast<std::size_t>(depth) + 1);
@@ -99,7 +109,7 @@ Netlist synchronizer_netlist(unsigned depth, bool flush,
 
 Netlist desynchronizer_netlist(unsigned depth, bool flush,
                                unsigned offset_bits) {
-  assert(depth >= 1);
+  require_depth(depth, "desynchronizer_netlist");
   std::ostringstream label;
   label << "desync(D=" << depth << (flush ? ",flush" : "") << ")";
   const unsigned bits = state_bits(2 * static_cast<std::size_t>(depth) + 2);
@@ -112,7 +122,7 @@ Netlist desynchronizer_netlist(unsigned depth, bool flush,
 }
 
 Netlist shuffle_buffer_netlist(std::size_t depth) {
-  assert(depth >= 1);
+  require_depth(depth, "shuffle_buffer_netlist");
   std::ostringstream label;
   label << "shuffle(D=" << depth << ")";
   Netlist n(label.str());

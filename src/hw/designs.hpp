@@ -28,6 +28,9 @@ Netlist cordiv_netlist();         ///< correlated divider (ref [6])
 
 // --- correlation manipulating circuits (paper §III) ----------------------
 
+// The three depth-parameterized designs below throw std::invalid_argument
+// for depth 0.
+
 /// Synchronizer FSM with save depth D; 2D+1 states.
 /// \param flush        adds the stream-offset tracking hardware of §III-B
 /// \param offset_bits  width of the offset counter when flush is enabled

@@ -32,7 +32,7 @@ sc::StreamPair apply(core::PairTransform& transform, const Bitstream& x,
 
 void ChunkedPairApplier::begin(std::size_t total_length) {
   transform_->begin_stream(total_length);
-  if (use_kernels_) kernel_ = make_pair_kernel(*transform_);
+  kernel_ = make_pair_kernel(*transform_);
 }
 
 void ChunkedPairApplier::advance(Bitstream& x, Bitstream& y) {

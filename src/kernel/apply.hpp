@@ -1,11 +1,12 @@
 /// \file apply.hpp
-/// Whole-stream helpers that route through the table-driven kernels.
+/// Whole-stream helpers that route through the word-level kernels.
 ///
 /// Drop-in replacements for the core::apply helpers: same signature, same
 /// begin_stream-then-run semantics, bit-identical output.  When the
 /// transform has a kernel (make_pair_kernel / make_stream_kernel) the
-/// streams advance word-parallel; otherwise these fall back to the
-/// bit-serial core::apply path.
+/// streams advance word-parallel; otherwise (shuffle depth >= 64, TFM
+/// precision >= 9, types without a kernel) these run the bit-serial
+/// core::apply oracle.
 
 #pragma once
 
@@ -34,7 +35,7 @@ Bitstream apply(core::StreamTransform& transform, const Bitstream& x);
 /// Drives a PairTransform across consecutive chunks of one logical stream
 /// pair without ever materializing it: begin() announces the total length
 /// (exactly as the whole-stream helpers do) and, when the transform has a
-/// table-driven kernel, compiles it once for the current FSM state;
+/// word-level kernel, compiles it once for the current FSM state;
 /// advance() transforms each chunk pair in place, state carrying across
 /// calls; finish() writes the kernel's state back into the transform.
 /// Output is bit-identical to a whole-stream apply over the concatenated
@@ -42,10 +43,8 @@ Bitstream apply(core::StreamTransform& transform, const Bitstream& x);
 /// backend.
 class ChunkedPairApplier {
  public:
-  /// \param use_kernels false forces the bit-serial step() path.
-  explicit ChunkedPairApplier(core::PairTransform& transform,
-                              bool use_kernels = true)
-      : transform_(&transform), use_kernels_(use_kernels) {}
+  explicit ChunkedPairApplier(core::PairTransform& transform)
+      : transform_(&transform) {}
 
   void begin(std::size_t total_length);
   void advance(Bitstream& x, Bitstream& y);
@@ -53,7 +52,6 @@ class ChunkedPairApplier {
 
  private:
   core::PairTransform* transform_;
-  bool use_kernels_;
   std::unique_ptr<PairKernel> kernel_;
 };
 

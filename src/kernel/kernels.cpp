@@ -1,7 +1,6 @@
 #include "kernel/kernels.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -14,7 +13,6 @@
 #include "core/shuffle_buffer.hpp"
 #include "core/synchronizer.hpp"
 #include "core/tfm.hpp"
-#include "kernel/fastmod.hpp"
 #include "kernel/pair_table.hpp"
 
 namespace sc::kernel {
@@ -26,30 +24,22 @@ using Word = Bitstream::Word;
 /// so the cap bounds a cached table at 4 MiB).
 constexpr unsigned kMaxPairStates = 4096;
 
-/// Largest shuffle depth with a mask-indexed transition table (512 KiB at
-/// depth 12); deeper buffers use the direct-update path.
-constexpr std::size_t kMaxShuffleTableDepth = 12;
-
-/// Largest TFM precision we table (2 * (2^16 + 1) entries at 16).
-constexpr unsigned kMaxTfmPrecision = 16;
-
 /// RNG values prefetched per block for the RNG-coupled kernels.  A
 /// multiple of 64 so block starts stay word-aligned, which is what lets
 /// the word-parallel paths hand whole words to the SIMD shim.
 constexpr std::size_t kRngBlock = 4096;
 
-/// Largest TFM precision served by the word-parallel datapath: the aux
-/// source width equals the precision (tfm.hpp contract), so estimates fit
-/// 16-bit trace entries and the nibble-jump table stays at 33 KiB.  Higher
-/// precisions run the per-cycle table path.
-constexpr unsigned kMaxWordTfmPrecision = 8;
-
-/// Word-parallel eligibility for a shuffle depth: the slot-class PEXT/PDEP
+/// Largest shuffle depth the word datapath serves: the slot-class PEXT/PDEP
 /// decomposition in the SIMD shim handles depths 1..63 (depth 64 would
-/// need 65 slot classes and 64-bit shifts by 64).
-bool shuffle_word_path(std::size_t depth) {
-  return depth >= 1 && depth <= 63 && simd::word_parallel_enabled();
-}
+/// need 65 slot classes and 64-bit shifts by 64).  Deeper buffers have no
+/// kernel and run the bit-serial step().
+constexpr std::size_t kMaxShuffleDepth = 63;
+
+/// Largest TFM precision the word datapath serves: the aux source width
+/// equals the precision (tfm.hpp contract), so estimates fit the 16-bit
+/// trace entries and the nibble-jump table stays at 33 KiB.  Higher
+/// precisions have no kernel and run the bit-serial step().
+constexpr unsigned kMaxTfmPrecision = 8;
 
 // ------------------------------------------------------------ table caches
 
@@ -118,73 +108,17 @@ std::shared_ptr<const PairNibbleTable> desynchronizer_table(unsigned depth) {
   });
 }
 
-/// Per-cycle shuffle-buffer table: entry = out | next_mask << 1, indexed by
-/// (mask << mask_shift) | (address << 1) | in.
-struct ShuffleTable {
-  std::vector<std::uint32_t> entries;
-  unsigned mask_shift = 0;
-};
-
-std::shared_ptr<const ShuffleTable> shuffle_table(std::size_t depth) {
-  if (depth < 1 || depth > kMaxShuffleTableDepth) return nullptr;
-  static std::mutex mutex;
-  static std::map<std::size_t, std::shared_ptr<const ShuffleTable>> cache;
-  return cached(mutex, cache, depth, [&] {
-    auto table = std::make_shared<ShuffleTable>();
-    unsigned shift = 1;
-    while ((std::size_t{1} << shift) < 2 * (depth + 1)) ++shift;
-    table->mask_shift = shift;
-    table->entries.assign((std::size_t{1} << depth) << shift, 0);
-    for (std::uint32_t mask = 0; mask < (std::uint32_t{1} << depth); ++mask) {
-      for (std::size_t r = 0; r <= depth; ++r) {
-        for (unsigned in = 0; in < 2; ++in) {
-          const core::ShuffleBuffer::Transition t =
-              core::ShuffleBuffer::transition(mask, depth, r, in != 0);
-          table->entries[(std::size_t{mask} << shift) | (r << 1) | in] =
-              (t.out ? 1u : 0u) |
-              (static_cast<std::uint32_t>(t.slots) << 1);
-        }
-      }
-    }
-    return std::shared_ptr<const ShuffleTable>(std::move(table));
-  });
-}
-
-std::shared_ptr<const std::vector<std::int32_t>> tfm_table(unsigned precision,
-                                                           unsigned shift) {
-  if (precision > kMaxTfmPrecision) return nullptr;
-  static std::mutex mutex;
-  static std::map<std::pair<unsigned, unsigned>,
-                  std::shared_ptr<const std::vector<std::int32_t>>>
-      cache;
-  return cached(mutex, cache, std::make_pair(precision, shift), [&] {
-    const std::int32_t scale = std::int32_t{1} << precision;
-    auto table = std::make_shared<std::vector<std::int32_t>>(
-        2 * (static_cast<std::size_t>(scale) + 1));
-    for (std::int32_t est = 0; est <= scale; ++est) {
-      for (unsigned in = 0; in < 2; ++in) {
-        (*table)[(static_cast<std::size_t>(est) << 1) | in] =
-            core::TrackingForecastMemory::next_estimate(est, in != 0, shift,
-                                                        scale);
-      }
-    }
-    return std::shared_ptr<const std::vector<std::int32_t>>(std::move(table));
-  });
-}
-
-/// Nibble-jump table for the word-parallel TFM path: entry (est, nibble)
-/// packs the four successive post-update estimates reached by consuming
-/// the nibble's bits (LSB first) as four little-endian uint16 lanes — the
+/// Nibble-jump table of the TFM word path: entry (est, nibble) packs the
+/// four successive post-update estimates reached by consuming the
+/// nibble's bits (LSB first) as four little-endian uint16 lanes — the
 /// exact regeneration-trace layout — so one lookup advances four cycles
 /// and the top lane (entry >> 48) is the successor estimate.  Built by
-/// composing the per-cycle tfm_table, so it inherits that table's exact
-/// core::TrackingForecastMemory semantics.  Size (2^p + 1) * 16 * 8 bytes
-/// (33 KiB at the precision-8 cap).
+/// composing core::TrackingForecastMemory::next_estimate, so it inherits
+/// its exact semantics.  Size (2^p + 1) * 16 * 8 bytes (33 KiB at the
+/// precision-8 cap); nullptr above the cap.
 std::shared_ptr<const std::vector<std::uint64_t>> tfm_jump_table(
     unsigned precision, unsigned shift) {
-  if (precision > kMaxWordTfmPrecision) return nullptr;
-  auto steps = tfm_table(precision, shift);
-  if (!steps) return nullptr;
+  if (precision > kMaxTfmPrecision) return nullptr;
   static std::mutex mutex;
   static std::map<std::pair<unsigned, unsigned>,
                   std::shared_ptr<const std::vector<std::uint64_t>>>
@@ -198,7 +132,8 @@ std::shared_ptr<const std::vector<std::uint64_t>> tfm_jump_table(
         std::uint64_t entry = 0;
         std::int32_t e = est;
         for (unsigned g = 0; g < 4; ++g) {
-          e = (*steps)[(static_cast<std::size_t>(e) << 1) | ((nib >> g) & 1u)];
+          e = core::TrackingForecastMemory::next_estimate(
+              e, ((nib >> g) & 1u) != 0, shift, scale);
           entry |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(e))
                    << (16 * g);
         }
@@ -380,47 +315,18 @@ class DesynchronizerKernel final : public FlushingPairKernel {
 
 // ------------------------------------------------------------- decorrelator
 
-/// One shuffle buffer driven a word at a time.  The address RNG is
-/// prefilled a block at a time from the buffer's own source and reduced
-/// with an exact divide-free modulo; slot contents live in a register
-/// mask.  Depth <= kMaxShuffleTableDepth advances through the cached
-/// transition table, deeper buffers through direct mask updates.
+/// One shuffle buffer driven a word at a time.  Address draws come
+/// pre-reduced to [0, depth] from the buffer's own source (fill_indices,
+/// a block at a time) and whole words advance through the SIMD slot-class
+/// shuffle, with the slot mask threaded through in a register.
 class ShuffleHalf {
  public:
-  ShuffleHalf(core::ShuffleBuffer& buffer,
-              std::shared_ptr<const ShuffleTable> table)
+  explicit ShuffleHalf(core::ShuffleBuffer& buffer)
       : buffer_(buffer),
-        table_(std::move(table)),
-        depth_(static_cast<std::uint32_t>(buffer.depth())),
-        mod_(static_cast<std::uint32_t>(buffer.depth() + 1)),
+        depth_(static_cast<unsigned>(buffer.depth())),
         mask_(buffer.slots_mask()) {}
 
-  void process(Word* w, std::size_t bits, std::uint32_t* raw) {
-    if (shuffle_word_path(depth_)) {
-      process_words(w, bits);
-      return;
-    }
-    std::size_t pos = 0;
-    while (pos < bits) {
-      const std::size_t n = std::min(kRngBlock, bits - pos);
-      buffer_.source().fill(raw, n);
-      if (table_) {
-        run_table(w, pos, n, raw);
-      } else {
-        run_direct(w, pos, n, raw);
-      }
-      pos += n;
-    }
-  }
-
-  void finish() { buffer_.set_slots_mask(mask_); }
-
- private:
-  /// Word-parallel path: address draws come pre-reduced from the source's
-  /// word API (identical values to mod_(fill(..)) — both are exact modulo)
-  /// and whole words advance through the SIMD slot-class shuffle, with the
-  /// slot mask threaded through unchanged.
-  void process_words(Word* w, std::size_t bits) {
+  void process(Word* w, std::size_t bits) {
     std::uint8_t idx[kRngBlock];
     std::size_t pos = 0;
     while (pos < bits) {
@@ -431,292 +337,65 @@ class ShuffleHalf {
     }
   }
 
+  void finish() { buffer_.set_slots_mask(mask_); }
+
  private:
-  template <typename CycleFn>
-  void run_blocked(Word* w, std::size_t pos, std::size_t n,
-                   const std::uint32_t* raw, CycleFn&& cycle) {
-    std::size_t i = 0;
-    while (i < n) {
-      const std::size_t bit = pos + i;
-      Word& word = w[bit / 64];
-      const auto off = static_cast<unsigned>(bit % 64);
-      const auto take =
-          static_cast<unsigned>(std::min<std::size_t>(64 - off, n - i));
-      const Word in_bits = word >> off;
-      Word out_bits = 0;
-      for (unsigned b = 0; b < take; ++b) {
-        const std::uint32_t r = mod_(raw[i + b]);
-        const bool in = ((in_bits >> b) & 1u) != 0;
-        out_bits |= static_cast<Word>(cycle(r, in)) << b;
-      }
-      const Word m = take == 64 ? ~Word{0} : (Word{1} << take) - 1;
-      word = (word & ~(m << off)) | ((out_bits & m) << off);
-      i += take;
-    }
-  }
-
-  void run_table(Word* w, std::size_t pos, std::size_t n,
-                 const std::uint32_t* raw) {
-    const std::uint32_t* entries = table_->entries.data();
-    const unsigned shift = table_->mask_shift;
-    auto mask = static_cast<std::uint32_t>(mask_);
-    run_blocked(w, pos, n, raw, [&](std::uint32_t r, bool in) -> unsigned {
-      const std::uint32_t e =
-          entries[(static_cast<std::size_t>(mask) << shift) | (r << 1) |
-                  (in ? 1u : 0u)];
-      mask = e >> 1;
-      return e & 1u;
-    });
-    mask_ = mask;
-  }
-
-  void run_direct(Word* w, std::size_t pos, std::size_t n,
-                  const std::uint32_t* raw) {
-    std::uint64_t mask = mask_;
-    const std::uint32_t depth = depth_;
-    run_blocked(w, pos, n, raw, [&](std::uint32_t r, bool in) -> unsigned {
-      if (r == depth) return in ? 1u : 0u;
-      const auto out = static_cast<unsigned>((mask >> r) & 1u);
-      mask = (mask & ~(std::uint64_t{1} << r)) |
-             (static_cast<std::uint64_t>(in) << r);
-      return out;
-    });
-    mask_ = mask;
-  }
-
   core::ShuffleBuffer& buffer_;
-  std::shared_ptr<const ShuffleTable> table_;
-  std::uint32_t depth_;
-  FastMod mod_;
+  unsigned depth_;
   std::uint64_t mask_;
 };
 
+/// The two buffers of a decorrelator are fully independent (separate
+/// sources, separate slot masks), so running one after the other is
+/// sequence-identical to the cycle-interleaved serial path.
 class DecorrelatorKernel final : public PairKernel {
  public:
   explicit DecorrelatorKernel(core::Decorrelator& dec)
-      : buffer_x_(dec.buffer_x()),
-        buffer_y_(dec.buffer_y()),
-        table_(shuffle_table(dec.depth())),
-        depth_(static_cast<std::uint32_t>(dec.depth())),
-        mod_(static_cast<std::uint32_t>(dec.depth() + 1)),
-        mask_x_(dec.buffer_x().slots_mask()),
-        mask_y_(dec.buffer_y().slots_mask()),
-        raw_x_(kRngBlock),
-        raw_y_(kRngBlock) {}
+      : half_x_(dec.buffer_x()), half_y_(dec.buffer_y()) {}
 
   void process(Word* xw, Word* yw, std::size_t bits) override {
-    if (shuffle_word_path(depth_)) {
-      // Word-parallel path: the two buffers are fully independent (separate
-      // sources, separate slot masks), so each advances through the SIMD
-      // slot-class shuffle on whole words.  Address draws are block-filled
-      // per buffer exactly as below, so the sequences are identical.
-      std::uint8_t idx[kRngBlock];
-      std::size_t pos = 0;
-      while (pos < bits) {
-        const std::size_t n = std::min(kRngBlock, bits - pos);
-        buffer_x_.source().fill_indices(idx, n, depth_ + 1);
-        simd::shuffle_words(xw + pos / 64, idx, n, depth_, &mask_x_);
-        buffer_y_.source().fill_indices(idx, n, depth_ + 1);
-        simd::shuffle_words(yw + pos / 64, idx, n, depth_, &mask_y_);
-        pos += n;
-      }
-      return;
-    }
-    // Both buffers advance in one fused loop: each buffer's state chain
-    // (mask -> table load -> mask) is serially dependent, so running the
-    // two independent chains together overlaps their latencies and
-    // roughly halves the per-bit cost versus one buffer after the other.
-    // The sources are independent, so block-filling each is
-    // sequence-identical to the cycle-interleaved serial path.
-    std::size_t pos = 0;
-    while (pos < bits) {
-      const std::size_t n = std::min(kRngBlock, bits - pos);
-      buffer_x_.source().fill(raw_x_.data(), n);
-      buffer_y_.source().fill(raw_y_.data(), n);
-      if (table_) {
-        run_table(xw, yw, pos, n);
-      } else {
-        run_direct(xw, yw, pos, n);
-      }
-      pos += n;
-    }
+    half_x_.process(xw, bits);
+    half_y_.process(yw, bits);
   }
 
   void finish() override {
-    buffer_x_.set_slots_mask(mask_x_);
-    buffer_y_.set_slots_mask(mask_y_);
+    half_x_.finish();
+    half_y_.finish();
   }
 
  private:
-  /// Iterates word segments shared by both streams, calling
-  /// cycle(rx, ry, in_x, in_y) -> packed (out_x | out_y << 1) per bit.
-  template <typename CycleFn>
-  void run_fused(Word* xw, Word* yw, std::size_t pos, std::size_t n,
-                 CycleFn&& cycle) {
-    std::size_t i = 0;
-    while (i < n) {
-      const std::size_t bit = pos + i;
-      Word& xword = xw[bit / 64];
-      Word& yword = yw[bit / 64];
-      const auto off = static_cast<unsigned>(bit % 64);
-      const auto take =
-          static_cast<unsigned>(std::min<std::size_t>(64 - off, n - i));
-      const Word xin = xword >> off;
-      const Word yin = yword >> off;
-      Word xout = 0;
-      Word yout = 0;
-      for (unsigned b = 0; b < take; ++b) {
-        const std::uint32_t rx = mod_(raw_x_[i + b]);
-        const std::uint32_t ry = mod_(raw_y_[i + b]);
-        const unsigned packed = cycle(rx, ry, ((xin >> b) & 1u) != 0,
-                                      ((yin >> b) & 1u) != 0);
-        xout |= static_cast<Word>(packed & 1u) << b;
-        yout |= static_cast<Word>((packed >> 1) & 1u) << b;
-      }
-      const Word m = take == 64 ? ~Word{0} : (Word{1} << take) - 1;
-      xword = (xword & ~(m << off)) | ((xout & m) << off);
-      yword = (yword & ~(m << off)) | ((yout & m) << off);
-      i += take;
-    }
-  }
-
-  void run_table(Word* xw, Word* yw, std::size_t pos, std::size_t n) {
-    const std::uint32_t* entries = table_->entries.data();
-    const unsigned shift = table_->mask_shift;
-    auto mask_x = static_cast<std::uint32_t>(mask_x_);
-    auto mask_y = static_cast<std::uint32_t>(mask_y_);
-    run_fused(xw, yw, pos, n,
-              [&](std::uint32_t rx, std::uint32_t ry, bool in_x,
-                  bool in_y) -> unsigned {
-                const std::uint32_t ex =
-                    entries[(static_cast<std::size_t>(mask_x) << shift) |
-                            (rx << 1) | (in_x ? 1u : 0u)];
-                const std::uint32_t ey =
-                    entries[(static_cast<std::size_t>(mask_y) << shift) |
-                            (ry << 1) | (in_y ? 1u : 0u)];
-                mask_x = ex >> 1;
-                mask_y = ey >> 1;
-                return (ex & 1u) | ((ey & 1u) << 1);
-              });
-    mask_x_ = mask_x;
-    mask_y_ = mask_y;
-  }
-
-  void run_direct(Word* xw, Word* yw, std::size_t pos, std::size_t n) {
-    std::uint64_t mask_x = mask_x_;
-    std::uint64_t mask_y = mask_y_;
-    const std::uint32_t depth = depth_;
-    run_fused(xw, yw, pos, n,
-              [&](std::uint32_t rx, std::uint32_t ry, bool in_x,
-                  bool in_y) -> unsigned {
-                unsigned out = 0;
-                if (rx == depth) {
-                  out |= in_x ? 1u : 0u;
-                } else {
-                  out |= static_cast<unsigned>((mask_x >> rx) & 1u);
-                  mask_x = (mask_x & ~(std::uint64_t{1} << rx)) |
-                           (static_cast<std::uint64_t>(in_x) << rx);
-                }
-                if (ry == depth) {
-                  out |= in_y ? 2u : 0u;
-                } else {
-                  out |= static_cast<unsigned>((mask_y >> ry) & 1u) << 1;
-                  mask_y = (mask_y & ~(std::uint64_t{1} << ry)) |
-                           (static_cast<std::uint64_t>(in_y) << ry);
-                }
-                return out;
-              });
-    mask_x_ = mask_x;
-    mask_y_ = mask_y;
-  }
-
-  core::ShuffleBuffer& buffer_x_;
-  core::ShuffleBuffer& buffer_y_;
-  std::shared_ptr<const ShuffleTable> table_;
-  std::uint32_t depth_;
-  FastMod mod_;
-  std::uint64_t mask_x_;
-  std::uint64_t mask_y_;
-  std::vector<std::uint32_t> raw_x_;
-  std::vector<std::uint32_t> raw_y_;
+  ShuffleHalf half_x_;
+  ShuffleHalf half_y_;
 };
 
 class ShuffleStreamKernel final : public StreamKernel {
  public:
-  explicit ShuffleStreamKernel(core::ShuffleBuffer& buffer)
-      : half_(buffer, shuffle_table(buffer.depth())), raw_(kRngBlock) {}
+  explicit ShuffleStreamKernel(core::ShuffleBuffer& buffer) : half_(buffer) {}
 
-  void process(Word* x, std::size_t bits) override {
-    half_.process(x, bits, raw_.data());
-  }
+  void process(Word* x, std::size_t bits) override { half_.process(x, bits); }
   void finish() override { half_.finish(); }
 
  private:
   ShuffleHalf half_;
-  std::vector<std::uint32_t> raw_;
 };
 
 // ---------------------------------------------------------------------- TFM
 
-/// One TFM driven a word at a time: estimate table lookup plus a compare
-/// against the prefilled regeneration RNG.
+/// One TFM driven a word at a time: phase 1 walks the input a nibble-jump
+/// at a time, recording the post-update estimate trace; phase 2
+/// regenerates the output word-at-a-time as (aux draw < trace entry)
+/// through the aux source's word API.  Both phases are exact compositions
+/// of the per-cycle rule: update the estimate first, then compare.
 class TfmHalf {
  public:
   TfmHalf(core::TrackingForecastMemory& tfm,
-          std::shared_ptr<const std::vector<std::int32_t>> table)
-      : tfm_(tfm),
-        table_(std::move(table)),
-        jump_(simd::word_parallel_enabled()
-                  ? tfm_jump_table(tfm.config().precision, tfm.config().shift)
-                  : nullptr),
-        estimate_(tfm.estimate_fixed()) {}
+          std::shared_ptr<const std::vector<std::uint64_t>> jump)
+      : tfm_(tfm), jump_(std::move(jump)), estimate_(tfm.estimate_fixed()) {}
 
-  void process(Word* w, std::size_t bits, std::uint32_t* raw) {
-    if (jump_) {
-      process_words(w, bits);
-      return;
-    }
-    const std::int32_t* table = table_->data();
-    std::size_t pos = 0;
-    while (pos < bits) {
-      const std::size_t n = std::min(kRngBlock, bits - pos);
-      tfm_.aux_source().fill(raw, n);
-      std::int32_t est = estimate_;
-      std::size_t i = 0;
-      while (i < n) {
-        const std::size_t bit = pos + i;
-        Word& word = w[bit / 64];
-        const auto off = static_cast<unsigned>(bit % 64);
-        const auto take =
-            static_cast<unsigned>(std::min<std::size_t>(64 - off, n - i));
-        const Word in_bits = word >> off;
-        Word out_bits = 0;
-        for (unsigned b = 0; b < take; ++b) {
-          est = table[(static_cast<std::size_t>(est) << 1) |
-                      static_cast<std::size_t>((in_bits >> b) & 1u)];
-          const bool out = static_cast<std::int32_t>(raw[i + b]) < est;
-          out_bits |= static_cast<Word>(out) << b;
-        }
-        const Word m = take == 64 ? ~Word{0} : (Word{1} << take) - 1;
-        word = (word & ~(m << off)) | ((out_bits & m) << off);
-        i += take;
-      }
-      estimate_ = est;
-      pos += n;
-    }
-  }
-
-  void finish() { tfm_.set_estimate_fixed(estimate_); }
-
- private:
-  /// Word-parallel path: phase 1 walks the input a nibble-jump at a time,
-  /// recording the post-update estimate trace; phase 2 regenerates the
-  /// output word-at-a-time as (aux draw < trace entry) through the aux
-  /// source's word API.  Both phases are exact compositions of the
-  /// per-cycle rule: update the estimate first, then compare.
-  void process_words(Word* w, std::size_t bits) {
+  void process(Word* w, std::size_t bits) {
     const std::uint64_t* jump = jump_->data();
-    const std::int32_t* table = table_->data();
+    const unsigned shift = tfm_.config().shift;
+    const std::int32_t scale = tfm_.scale();
     std::uint16_t trace[kRngBlock];
     std::size_t pos = 0;
     while (pos < bits) {
@@ -733,8 +412,8 @@ class TfmHalf {
         est = static_cast<std::int32_t>(e >> 48);
       }
       for (; i < n; ++i) {
-        est = table[(static_cast<std::size_t>(est) << 1) |
-                    static_cast<std::size_t>((base[i / 64] >> (i % 64)) & 1u)];
+        est = core::TrackingForecastMemory::next_estimate(
+            est, ((base[i / 64] >> (i % 64)) & 1u) != 0, shift, scale);
         trace[i] = static_cast<std::uint16_t>(est);
       }
       estimate_ = est;
@@ -746,91 +425,32 @@ class TfmHalf {
     }
   }
 
+  void finish() { tfm_.set_estimate_fixed(estimate_); }
+
+ private:
   core::TrackingForecastMemory& tfm_;
-  std::shared_ptr<const std::vector<std::int32_t>> table_;
   std::shared_ptr<const std::vector<std::uint64_t>> jump_;
   std::int32_t estimate_;
 };
 
+/// TfmHalf's datapath fused across the pair: one pass walks both inputs
+/// through the nibble-jump table (the two estimate chains are independent,
+/// so their jump loads overlap), then each stream regenerates through its
+/// own aux source's word API.
 class TfmPairKernel final : public PairKernel {
  public:
   TfmPairKernel(core::TfmPair& pair,
-                std::shared_ptr<const std::vector<std::int32_t>> table)
+                std::shared_ptr<const std::vector<std::uint64_t>> jump)
       : tfm_x_(pair.tfm_x()),
         tfm_y_(pair.tfm_y()),
-        table_(std::move(table)),
-        jump_(simd::word_parallel_enabled()
-                  ? tfm_jump_table(pair.tfm_x().config().precision,
-                                   pair.tfm_x().config().shift)
-                  : nullptr),
+        jump_(std::move(jump)),
         est_x_(pair.tfm_x().estimate_fixed()),
-        est_y_(pair.tfm_y().estimate_fixed()),
-        raw_x_(kRngBlock),
-        raw_y_(kRngBlock) {}
+        est_y_(pair.tfm_y().estimate_fixed()) {}
 
   void process(Word* xw, Word* yw, std::size_t bits) override {
-    if (jump_) {
-      process_words(xw, yw, bits);
-      return;
-    }
-    // Fused like the decorrelator: the two estimate chains are serially
-    // dependent table loads, so interleaving them overlaps the latency.
-    const std::int32_t* table = table_->data();
-    std::size_t pos = 0;
-    while (pos < bits) {
-      const std::size_t n = std::min(kRngBlock, bits - pos);
-      tfm_x_.aux_source().fill(raw_x_.data(), n);
-      tfm_y_.aux_source().fill(raw_y_.data(), n);
-      std::int32_t est_x = est_x_;
-      std::int32_t est_y = est_y_;
-      std::size_t i = 0;
-      while (i < n) {
-        const std::size_t bit = pos + i;
-        Word& xword = xw[bit / 64];
-        Word& yword = yw[bit / 64];
-        const auto off = static_cast<unsigned>(bit % 64);
-        const auto take =
-            static_cast<unsigned>(std::min<std::size_t>(64 - off, n - i));
-        const Word xin = xword >> off;
-        const Word yin = yword >> off;
-        Word xout = 0;
-        Word yout = 0;
-        for (unsigned b = 0; b < take; ++b) {
-          est_x = table[(static_cast<std::size_t>(est_x) << 1) |
-                        static_cast<std::size_t>((xin >> b) & 1u)];
-          est_y = table[(static_cast<std::size_t>(est_y) << 1) |
-                        static_cast<std::size_t>((yin >> b) & 1u)];
-          xout |= static_cast<Word>(
-                      static_cast<std::int32_t>(raw_x_[i + b]) < est_x)
-                  << b;
-          yout |= static_cast<Word>(
-                      static_cast<std::int32_t>(raw_y_[i + b]) < est_y)
-                  << b;
-        }
-        const Word m = take == 64 ? ~Word{0} : (Word{1} << take) - 1;
-        xword = (xword & ~(m << off)) | ((xout & m) << off);
-        yword = (yword & ~(m << off)) | ((yout & m) << off);
-        i += take;
-      }
-      est_x_ = est_x;
-      est_y_ = est_y;
-      pos += n;
-    }
-  }
-
-  void finish() override {
-    tfm_x_.set_estimate_fixed(est_x_);
-    tfm_y_.set_estimate_fixed(est_y_);
-  }
-
- private:
-  /// Word-parallel path, fused across the pair: one pass walks both
-  /// inputs through the nibble-jump table (the two estimate chains are
-  /// independent, so their jump loads overlap), then each stream
-  /// regenerates through its own aux source's word API.
-  void process_words(Word* xw, Word* yw, std::size_t bits) {
     const std::uint64_t* jump = jump_->data();
-    const std::int32_t* table = table_->data();
+    const unsigned shift = tfm_x_.config().shift;
+    const std::int32_t scale = tfm_x_.scale();
     std::uint16_t trace_x[kRngBlock];
     std::uint16_t trace_y[kRngBlock];
     std::size_t pos = 0;
@@ -856,12 +476,10 @@ class TfmPairKernel final : public PairKernel {
         est_y = static_cast<std::int32_t>(ey >> 48);
       }
       for (; i < n; ++i) {
-        est_x =
-            table[(static_cast<std::size_t>(est_x) << 1) |
-                  static_cast<std::size_t>((xbase[i / 64] >> (i % 64)) & 1u)];
-        est_y =
-            table[(static_cast<std::size_t>(est_y) << 1) |
-                  static_cast<std::size_t>((ybase[i / 64] >> (i % 64)) & 1u)];
+        est_x = core::TrackingForecastMemory::next_estimate(
+            est_x, ((xbase[i / 64] >> (i % 64)) & 1u) != 0, shift, scale);
+        est_y = core::TrackingForecastMemory::next_estimate(
+            est_y, ((ybase[i / 64] >> (i % 64)) & 1u) != 0, shift, scale);
         trace_x[i] = static_cast<std::uint16_t>(est_x);
         trace_y[i] = static_cast<std::uint16_t>(est_y);
       }
@@ -880,30 +498,30 @@ class TfmPairKernel final : public PairKernel {
     }
   }
 
+  void finish() override {
+    tfm_x_.set_estimate_fixed(est_x_);
+    tfm_y_.set_estimate_fixed(est_y_);
+  }
+
+ private:
   core::TrackingForecastMemory& tfm_x_;
   core::TrackingForecastMemory& tfm_y_;
-  std::shared_ptr<const std::vector<std::int32_t>> table_;
   std::shared_ptr<const std::vector<std::uint64_t>> jump_;
   std::int32_t est_x_;
   std::int32_t est_y_;
-  std::vector<std::uint32_t> raw_x_;
-  std::vector<std::uint32_t> raw_y_;
 };
 
 class TfmStreamKernel final : public StreamKernel {
  public:
   TfmStreamKernel(core::TrackingForecastMemory& tfm,
-                  std::shared_ptr<const std::vector<std::int32_t>> table)
-      : half_(tfm, std::move(table)), raw_(kRngBlock) {}
+                  std::shared_ptr<const std::vector<std::uint64_t>> jump)
+      : half_(tfm, std::move(jump)) {}
 
-  void process(Word* x, std::size_t bits) override {
-    half_.process(x, bits, raw_.data());
-  }
+  void process(Word* x, std::size_t bits) override { half_.process(x, bits); }
   void finish() override { half_.finish(); }
 
  private:
   TfmHalf half_;
-  std::vector<std::uint32_t> raw_;
 };
 
 /// Decorrelator chain link: y := shuffle(x), x untouched.  Copies x's
@@ -948,7 +566,7 @@ std::unique_ptr<PairKernel> make_pair_kernel(core::PairTransform& transform) {
     return std::make_unique<DesynchronizerKernel>(*desync, std::move(table));
   }
   if (auto* dec = dynamic_cast<core::Decorrelator*>(&transform)) {
-    if (dec->depth() < 1 || dec->depth() > 64) return nullptr;
+    if (dec->depth() < 1 || dec->depth() > kMaxShuffleDepth) return nullptr;
     return std::make_unique<DecorrelatorKernel>(*dec);
   }
   if (auto* link = dynamic_cast<core::DecorrelatorChainLink*>(&transform)) {
@@ -958,9 +576,9 @@ std::unique_ptr<PairKernel> make_pair_kernel(core::PairTransform& transform) {
   }
   if (auto* tfm = dynamic_cast<core::TfmPair*>(&transform)) {
     const auto& config = tfm->tfm_x().config();
-    auto table = tfm_table(config.precision, config.shift);
-    if (!table) return nullptr;
-    return std::make_unique<TfmPairKernel>(*tfm, std::move(table));
+    auto jump = tfm_jump_table(config.precision, config.shift);
+    if (!jump) return nullptr;
+    return std::make_unique<TfmPairKernel>(*tfm, std::move(jump));
   }
   return nullptr;
 }
@@ -968,13 +586,15 @@ std::unique_ptr<PairKernel> make_pair_kernel(core::PairTransform& transform) {
 std::unique_ptr<StreamKernel> make_stream_kernel(
     core::StreamTransform& transform) {
   if (auto* buffer = dynamic_cast<core::ShuffleBuffer*>(&transform)) {
-    if (buffer->depth() < 1 || buffer->depth() > 64) return nullptr;
+    if (buffer->depth() < 1 || buffer->depth() > kMaxShuffleDepth) {
+      return nullptr;
+    }
     return std::make_unique<ShuffleStreamKernel>(*buffer);
   }
   if (auto* tfm = dynamic_cast<core::TrackingForecastMemory*>(&transform)) {
-    auto table = tfm_table(tfm->config().precision, tfm->config().shift);
-    if (!table) return nullptr;
-    return std::make_unique<TfmStreamKernel>(*tfm, std::move(table));
+    auto jump = tfm_jump_table(tfm->config().precision, tfm->config().shift);
+    if (!jump) return nullptr;
+    return std::make_unique<TfmStreamKernel>(*tfm, std::move(jump));
   }
   return nullptr;
 }

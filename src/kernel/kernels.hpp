@@ -1,11 +1,11 @@
 /// \file kernels.hpp
-/// Table-driven multi-bit kernels for the correlation manipulating FSMs.
+/// Word-level kernels for the correlation manipulating FSMs.
 ///
 /// Every circuit in the paper is a per-cycle FSM, and the bit-serial
 /// PairTransform/StreamTransform interfaces pay a virtual dispatch (plus
 /// bit get/set) per cycle.  For long streams that dispatch, not memory
 /// bandwidth, bounds throughput.  The kernels here advance packed words
-/// directly:
+/// directly, one datapath per FSM:
 ///
 ///  * Synchronizer / Desynchronizer: state spaces are depth-bounded
 ///    counters, so a (state, 4 input bit-pairs) -> (state', 4 output
@@ -14,24 +14,27 @@
 ///    within the final `depth` announced cycles (|saved bits| <= depth),
 ///    so the kernel runs the table up to that window and hands the tail to
 ///    the bit-serial FSM — output stays bit-identical.
-///  * Decorrelator: each shuffle buffer's occupancy is a <= depth-bit
-///    mask; a (mask, address, in) -> (mask', out) table advances one cycle
-///    per lookup with no virtual calls, the auxiliary RNG prefilled a
-///    block at a time (RandomSource::fill) and reduced with an exact
-///    divide-free modulo (fastmod.hpp).  Depths above the table cap use
-///    the same blocked loop with direct mask updates.
-///  * TFM pair: the fixed-point estimate is the whole state; a
-///    (estimate, in) -> estimate' table plus a prefilled RNG block turns
-///    each cycle into one lookup and one compare.
+///  * Decorrelator / shuffle buffer (depth <= 63): address draws come
+///    pre-reduced from the buffer's source (RandomSource::fill_indices)
+///    and whole words advance through the SIMD slot-class shuffle
+///    (simd::shuffle_words), the slot mask held in a register.
+///  * TFM (precision <= 8): a nibble-jump table walks the input four
+///    cycles per lookup into a post-update estimate trace, and the output
+///    is regenerated a word at a time as (aux draw < estimate)
+///    (RandomSource::fill_compare_trace).
+///
+/// The SIMD primitives each have an exact scalar twin, so these datapaths
+/// run at every tier, SC_SIMD=off included.
 ///
 /// A kernel is compiled *for the current state* of a live transform by
 /// make_pair_kernel / make_stream_kernel: it reads the FSM state at
 /// creation, advances it privately (drawing from the transform's own RNG
 /// sources so sequence positions stay shared), and writes the final state
 /// back on finish().  Between creation and finish() the wrapped transform
-/// must not be stepped directly.  Transforms without a kernel return
-/// nullptr and callers fall back to the bit-serial path; results are
-/// bit-identical either way (enforced by tests/kernel_test.cpp).
+/// must not be stepped directly.  Transforms without a kernel (other
+/// types, shuffle depth >= 64, TFM precision >= 9) return nullptr and
+/// callers run the core step() oracle; results are bit-identical either
+/// way (enforced by tests/kernel_test.cpp).
 
 #pragma once
 
@@ -84,14 +87,14 @@ class StreamKernel {
 };
 
 /// Compiles a kernel for the transform's exact current state, or returns
-/// nullptr when the concrete type/configuration has no table-driven path.
-/// Supported: core::Synchronizer, core::Desynchronizer, core::Decorrelator
-/// and core::DecorrelatorChainLink (buffer depth <= 64), core::TfmPair
-/// (precision <= 16).
+/// nullptr when the concrete type/configuration has no word-level path.
+/// Supported: core::Synchronizer, core::Desynchronizer (nibble table of
+/// <= 4096 states), core::Decorrelator and core::DecorrelatorChainLink
+/// (buffer depth <= 63), core::TfmPair (precision <= 8).
 std::unique_ptr<PairKernel> make_pair_kernel(core::PairTransform& transform);
 
-/// Single-stream version.  Supported: core::ShuffleBuffer (depth <= 64),
-/// core::TrackingForecastMemory (precision <= 16).
+/// Single-stream version.  Supported: core::ShuffleBuffer (depth <= 63),
+/// core::TrackingForecastMemory (precision <= 8).
 std::unique_ptr<StreamKernel> make_stream_kernel(
     core::StreamTransform& transform);
 

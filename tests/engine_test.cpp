@@ -154,6 +154,12 @@ TEST(ChunkedStream, SngSourceMatchesWholeStreamSng) {
   EXPECT_LE(stats.peak_buffer_bits, 96u);
 }
 
+TEST(ChunkedStream, SngSourceRejectsNullSource) {
+  // Checked in every build, not by an assert: under NDEBUG a null source
+  // would be dereferenced on the first next_chunk.
+  EXPECT_THROW(SngChunkSource(nullptr, 0, 64), std::invalid_argument);
+}
+
 TEST(ChunkedStream, BitstreamSourceRoundTrips) {
   const Bitstream original = test::lfsr_stream(100, 9, 777);
   BitstreamChunkSource source(original);

@@ -483,6 +483,31 @@ TEST(Backends, ZeroFixDepthThrowsInsteadOfMiscomputing) {
   EXPECT_THROW(core::ShuffleBuffer(0, std::make_unique<rng::Lfsr>(8, 1)),
                std::invalid_argument);
   EXPECT_THROW(core::ShuffleBuffer(4, nullptr), std::invalid_argument);
+
+  // The planner prices every fix it inserts, so depth 0 in PlannerConfig
+  // must throw there too rather than price a sync(D=0) netlist, and so
+  // must the optimizer's replan under ExecConfig::optimize.
+  PlannerConfig zero_sync;
+  zero_sync.sync_depth = 0;
+  PlannerConfig zero_shuffle;
+  zero_shuffle.shuffle_depth = 0;
+  for (const PlannerConfig& config : {zero_sync, zero_shuffle}) {
+    EXPECT_THROW(plan_program(program, Strategy::kManipulation, config),
+                 std::invalid_argument)
+        << "sync_depth " << config.sync_depth << " shuffle_depth "
+        << config.shuffle_depth;
+  }
+  EXPECT_THROW(fix_netlist(FixKind::kSynchronizer, zero_sync),
+               std::invalid_argument);
+  EXPECT_THROW(fix_netlist(FixKind::kDesynchronizer, zero_sync),
+               std::invalid_argument);
+  EXPECT_THROW(fix_netlist(FixKind::kDecorrelator, zero_shuffle),
+               std::invalid_argument);
+  ExecConfig optimized_no_sync = no_sync;
+  optimized_no_sync.optimize = true;
+  EXPECT_THROW(make_backend(BackendKind::kKernel)
+                   ->run(program, plan, optimized_no_sync),
+               std::invalid_argument);
 }
 
 }  // namespace

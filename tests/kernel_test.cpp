@@ -1,4 +1,4 @@
-/// Differential tests for the table-driven kernel layer (src/kernel/):
+/// Differential tests for the word-level kernel layer (src/kernel/):
 /// every kernel must be bit-identical to the bit-serial FSM it replaces —
 /// across configurations, seeds, stream lengths that are not multiples of
 /// 8 (or 64), chunk boundaries, and state written back for bit-serial
@@ -24,7 +24,6 @@
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
 #include "kernel/apply.hpp"
-#include "kernel/fastmod.hpp"
 #include "kernel/kernels.hpp"
 #include "rng/lfsr.hpp"
 #include "rng/mt_source.hpp"
@@ -65,24 +64,6 @@ void expect_equivalent(core::PairTransform& serial, core::PairTransform& fast,
     const core::BitPair pf = fast.step(a, b);
     ASSERT_EQ(ps.x, pf.x) << "continuation cycle " << i;
     ASSERT_EQ(ps.y, pf.y) << "continuation cycle " << i;
-  }
-}
-
-// --- fastmod ---------------------------------------------------------------
-
-TEST(FastMod, MatchesHardwareModuloExactly) {
-  std::mt19937 gen(7);
-  std::uniform_int_distribution<std::uint32_t> value;
-  for (std::uint32_t d = 1; d <= 70; ++d) {
-    const FastMod mod(d);
-    for (std::uint32_t x = 0; x < 3 * d + 2; ++x) {
-      ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
-    }
-    for (int i = 0; i < 1000; ++i) {
-      const std::uint32_t x = value(gen);
-      ASSERT_EQ(mod(x), x % d) << "x=" << x << " d=" << d;
-    }
-    ASSERT_EQ(mod(0xFFFFFFFFu), 0xFFFFFFFFu % d);
   }
 }
 
@@ -155,10 +136,8 @@ core::Decorrelator decorrelator_fixture(std::size_t depth,
       std::make_unique<rng::Lfsr>(10, seed + 17, /*rotation=*/3));
 }
 
-TEST(DecorrelatorKernel, MatchesBitSerialTableAndDirectPaths) {
+TEST(DecorrelatorKernel, MatchesBitSerial) {
   std::mt19937 gen(303);
-  // Depths 16 and 33 exceed the table cap and exercise the direct
-  // mask-update path; the rest go through the cached transition table.
   for (const std::size_t depth : {1u, 4u, 8u, 12u, 16u, 33u}) {
     for (const std::size_t n : kLengths) {
       core::Decorrelator serial = decorrelator_fixture(depth, 0xBEE);
@@ -191,6 +170,40 @@ TEST(TfmKernel, MatchesBitSerial) {
   }
 }
 
+TEST(PairKernelFactory, WordPathCapsAreTheKernelBoundary) {
+  // Shuffle depth 63 and TFM precision 8 are the largest configs the word
+  // datapath serves; one past either has no kernel and runs the core
+  // step() oracle.  kernel::apply is bit-identical on both sides.
+  std::mt19937 gen(1313);
+  const std::size_t n = 5000;
+  const Bitstream x = random_stream(gen, n, 0.55);
+  const Bitstream y = random_stream(gen, n, 0.3);
+  for (const std::size_t depth : {63u, 64u}) {
+    core::Decorrelator probe = decorrelator_fixture(depth, 0xD0);
+    core::ShuffleBuffer buffer(depth, std::make_unique<rng::Lfsr>(10, 5));
+    EXPECT_EQ(make_pair_kernel(probe) != nullptr, depth == 63);
+    EXPECT_EQ(make_stream_kernel(buffer) != nullptr, depth == 63);
+    core::Decorrelator serial = decorrelator_fixture(depth, 0xD0);
+    core::Decorrelator fast = decorrelator_fixture(depth, 0xD0);
+    expect_equivalent(serial, fast, x, y);
+  }
+  for (const unsigned precision : {8u, 9u}) {
+    const core::TrackingForecastMemory::Config config{precision, 3, 0.5};
+    const auto tfm_pair = [&] {
+      return core::TfmPair(config, std::make_unique<rng::Lfsr>(precision, 5),
+                           std::make_unique<rng::Lfsr>(precision, 9));
+    };
+    core::TfmPair probe = tfm_pair();
+    core::TrackingForecastMemory single(
+        config, std::make_unique<rng::Lfsr>(precision, 7));
+    EXPECT_EQ(make_pair_kernel(probe) != nullptr, precision == 8);
+    EXPECT_EQ(make_stream_kernel(single) != nullptr, precision == 8);
+    core::TfmPair serial = tfm_pair();
+    core::TfmPair fast = tfm_pair();
+    expect_equivalent(serial, fast, x, y);
+  }
+}
+
 // --- word-datapath boundaries ----------------------------------------------
 
 /// Lengths that straddle the word kernels' internal RNG block (4096 bits)
@@ -214,7 +227,7 @@ TEST(WordKernels, DecorrelatorBitIdenticalAcrossWordAndBlockBoundaries) {
 
 TEST(WordKernels, ChainLinkBitIdenticalAcrossWordAndBlockBoundaries) {
   std::mt19937 gen(808);
-  for (const std::size_t depth : {1u, 8u, 63u, 64u}) {  // 64 -> scalar path
+  for (const std::size_t depth : {1u, 8u, 63u, 64u}) {  // 64 -> step() oracle
     for (const std::size_t n : kWordBoundaryLengths) {
       core::DecorrelatorChainLink serial(depth,
                                          std::make_unique<rng::Lfsr>(10, 21));
@@ -230,7 +243,7 @@ TEST(WordKernels, ChainLinkBitIdenticalAcrossWordAndBlockBoundaries) {
 TEST(WordKernels, TfmPairBitIdenticalAcrossWordAndBlockBoundaries) {
   std::mt19937 gen(909);
   // Precision 8 rides the nibble-jump word path; 10 exceeds the word-path
-  // cap and must fall back to the per-cycle table bit-identically.
+  // cap, has no kernel and must run the step() oracle bit-identically.
   for (const unsigned precision : {8u, 10u}) {
     const core::TrackingForecastMemory::Config config{precision, 3, 0.5};
     for (const std::size_t n : kWordBoundaryLengths) {
@@ -361,9 +374,9 @@ TEST(StreamKernel, UnsupportedTransformFallsBack) {
 
 // --- chunked engine path ---------------------------------------------------
 
-/// kAuto (kernel) and kSerial chunked runs over the same sources must
-/// produce identical streams, including flush tails that span chunk
-/// boundaries and chunk sizes that are not multiples of 64.
+/// A chunked run (word kernel where the transform has one) must equal
+/// core::apply over the same source bits, including flush tails that span
+/// chunk boundaries and chunk sizes that are not multiples of 64.
 void expect_chunked_equivalent(core::PairTransform& serial_fsm,
                                core::PairTransform& fast_fsm,
                                std::size_t length, std::size_t chunk_bits) {
@@ -371,17 +384,17 @@ void expect_chunked_equivalent(core::PairTransform& serial_fsm,
   SngChunkSource sx_a(std::make_unique<rng::Lfsr>(12, 0xACE), 2000, length);
   SngChunkSource sy_a(std::make_unique<rng::Lfsr>(12, 0xACE, 5), 2000, length);
   CollectPairSink fast_sink;
-  run_chunked_pair(sx_a, sy_a, &fast_fsm, fast_sink, chunk_bits,
-                   KernelPolicy::kAuto);
+  run_chunked_pair(sx_a, sy_a, &fast_fsm, fast_sink, chunk_bits);
 
   SngChunkSource sx_b(std::make_unique<rng::Lfsr>(12, 0xACE), 2000, length);
   SngChunkSource sy_b(std::make_unique<rng::Lfsr>(12, 0xACE, 5), 2000, length);
-  CollectPairSink serial_sink;
-  run_chunked_pair(sx_b, sy_b, &serial_fsm, serial_sink, chunk_bits,
-                   KernelPolicy::kSerial);
+  CollectPairSink inputs;
+  run_chunked_pair(sx_b, sy_b, nullptr, inputs, chunk_bits);
+  const sc::StreamPair ref =
+      core::apply(serial_fsm, inputs.stream_x(), inputs.stream_y());
 
-  ASSERT_EQ(serial_sink.stream_x(), fast_sink.stream_x());
-  ASSERT_EQ(serial_sink.stream_y(), fast_sink.stream_y());
+  ASSERT_EQ(ref.x, fast_sink.stream_x());
+  ASSERT_EQ(ref.y, fast_sink.stream_y());
 }
 
 TEST(ChunkedKernel, SynchronizerFlushAcrossChunkBoundaries) {
@@ -408,13 +421,13 @@ TEST(ChunkedKernel, SingleStreamAuto) {
 
   SngChunkSource src_a(std::make_unique<rng::Lfsr>(12, 0xB0B), 1000, length);
   CollectSink fast_sink;
-  run_chunked(src_a, &fast, fast_sink, 1000, KernelPolicy::kAuto);
+  run_chunked(src_a, &fast, fast_sink, 1000);
 
   SngChunkSource src_b(std::make_unique<rng::Lfsr>(12, 0xB0B), 1000, length);
-  CollectSink serial_sink;
-  run_chunked(src_b, &serial, serial_sink, 1000, KernelPolicy::kSerial);
+  CollectSink input;
+  run_chunked(src_b, nullptr, input, 1000);
 
-  ASSERT_EQ(serial_sink.stream(), fast_sink.stream());
+  ASSERT_EQ(core::apply(serial, input.stream()), fast_sink.stream());
 }
 
 // --- graph executor --------------------------------------------------------
