@@ -46,6 +46,9 @@ class ToggleAdder {
     toggle_ = !toggle_;
     return toggle_;
   }
+  /// The T flip-flop's content (lets a word path carry it across chunks).
+  [[nodiscard]] bool toggle() const { return toggle_; }
+  void set_toggle(bool toggle) { toggle_ = toggle; }
   void reset() { toggle_ = false; }
 
  private:

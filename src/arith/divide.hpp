@@ -25,6 +25,9 @@ class Cordiv {
     }
     return held_;
   }
+  /// The D flip-flop's content (lets a word path carry it across chunks).
+  [[nodiscard]] bool held() const { return held_; }
+  void set_held(bool held) { held_ = held; }
   void reset() { held_ = false; }
 
  private:

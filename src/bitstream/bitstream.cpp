@@ -1,9 +1,25 @@
 #include "bitstream/bitstream.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "common/bitops.hpp"
-#include <cassert>
 
 namespace sc {
+namespace {
+
+/// Word-wise gates index both operands' words up to the left operand's
+/// count, so a length mismatch would read out of bounds: reject it.
+void require_same_size(const char* op, std::size_t x, std::size_t y) {
+  if (x != y) {
+    throw std::invalid_argument(std::string("Bitstream ") + op +
+                                ": operand lengths differ (" +
+                                std::to_string(x) + " vs " +
+                                std::to_string(y) + ")");
+  }
+}
+
+}  // namespace
 
 Bitstream::Bitstream(std::size_t length, bool fill)
     : words_(words_for(length), fill ? ~Word{0} : Word{0}), size_(length) {
@@ -81,21 +97,18 @@ void Bitstream::clear_tail() noexcept {
 }
 
 Bitstream operator&(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
   Bitstream out = x;
   out &= y;
   return out;
 }
 
 Bitstream operator|(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
   Bitstream out = x;
   out |= y;
   return out;
 }
 
 Bitstream operator^(const Bitstream& x, const Bitstream& y) {
-  assert(x.size() == y.size());
   Bitstream out = x;
   out ^= y;
   return out;
@@ -109,26 +122,27 @@ Bitstream operator~(const Bitstream& x) {
 }
 
 Bitstream& Bitstream::operator&=(const Bitstream& y) {
-  assert(size_ == y.size_);
+  require_same_size("operator&=", size_, y.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= y.words_[i];
   return *this;
 }
 
 Bitstream& Bitstream::operator|=(const Bitstream& y) {
-  assert(size_ == y.size_);
+  require_same_size("operator|=", size_, y.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= y.words_[i];
   return *this;
 }
 
 Bitstream& Bitstream::operator^=(const Bitstream& y) {
-  assert(size_ == y.size_);
+  require_same_size("operator^=", size_, y.size_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= y.words_[i];
   return *this;
 }
 
 Bitstream Bitstream::mux(const Bitstream& x, const Bitstream& y,
                          const Bitstream& sel) {
-  assert(x.size() == y.size() && x.size() == sel.size());
+  require_same_size("mux", x.size(), y.size());
+  require_same_size("mux", x.size(), sel.size());
   Bitstream out(x.size());
   for (std::size_t i = 0; i < out.words_.size(); ++i) {
     out.words_[i] =

@@ -109,7 +109,8 @@ class Bitstream {
     return !(*this == other);
   }
 
-  /// Word-parallel combinational gates.  Operand sizes must match.
+  /// Word-parallel combinational gates (and their compound forms below).
+  /// Operand sizes must match; a mismatch throws std::invalid_argument.
   friend Bitstream operator&(const Bitstream& x, const Bitstream& y);
   friend Bitstream operator|(const Bitstream& x, const Bitstream& y);
   friend Bitstream operator^(const Bitstream& x, const Bitstream& y);
@@ -121,7 +122,8 @@ class Bitstream {
   Bitstream& operator^=(const Bitstream& y);
 
   /// Two-input multiplexer: out[i] = sel[i] ? y[i] : x[i].
-  /// All three streams must have the same length.  With an uncorrelated
+  /// All three streams must have the same length (std::invalid_argument
+  /// otherwise).  With an uncorrelated
   /// half-weight select stream this is the classic SC scaled adder.
   static Bitstream mux(const Bitstream& x, const Bitstream& y,
                        const Bitstream& sel);

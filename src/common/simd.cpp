@@ -1,5 +1,6 @@
 #include "common/simd.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -95,6 +96,28 @@ void shuffle_words_scalar(std::uint64_t* words, const std::uint8_t* r,
     word = (word & ~(std::uint64_t{1} << b)) | (out << b);
   }
   *slots = mask;
+}
+
+/// Clears word `w` of every class mask, then sets the bits of the slots
+/// [begin, end) that fall in it; the vector tiers' tail and the scalar
+/// tier's whole loop.
+void decode_select16_word_scalar(const std::uint8_t* slots, std::size_t begin,
+                                 std::size_t end, const std::uint8_t* lut,
+                                 unsigned classes, std::uint64_t* masks,
+                                 std::size_t stride, std::size_t w) {
+  for (unsigned c = 0; c < classes; ++c) masks[c * stride + w] = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    masks[lut[slots[i]] * stride + w] |= std::uint64_t{1} << (i & 63);
+  }
+}
+
+void decode_select16_scalar(const std::uint8_t* slots, std::size_t n,
+                            const std::uint8_t* lut, unsigned classes,
+                            std::uint64_t* masks, std::size_t stride) {
+  for (std::size_t begin = 0; begin < n; begin += 64) {
+    decode_select16_word_scalar(slots, begin, std::min(n, begin + 64), lut,
+                                classes, masks, stride, begin >> 6);
+  }
 }
 
 // --------------------------------------------------------------- mod magic
@@ -255,6 +278,56 @@ void mod_bytes_magic_scalar(const std::uint32_t* vals, std::size_t n,
   }
 }
 
+__attribute__((target("avx2")))
+void decode_select16_avx2(const std::uint8_t* slots, std::size_t n,
+                          const std::uint8_t* lut, unsigned classes,
+                          std::uint64_t* masks, std::size_t stride) {
+  const __m256i table = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(lut)));
+  const std::size_t nwords = n >> 6;
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const __m256i lo = _mm256_shuffle_epi8(
+        table,
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots + w * 64)));
+    const __m256i hi = _mm256_shuffle_epi8(
+        table, _mm256_loadu_si256(
+                   reinterpret_cast<const __m256i*>(slots + w * 64 + 32)));
+    for (unsigned c = 0; c < classes; ++c) {
+      const __m256i vc = _mm256_set1_epi8(static_cast<char>(c));
+      const auto m0 = static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, vc)));
+      const auto m1 = static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, vc)));
+      masks[c * stride + w] = m0 | (static_cast<std::uint64_t>(m1) << 32);
+    }
+  }
+  if (nwords * 64 < n) {
+    decode_select16_word_scalar(slots, nwords * 64, n, lut, classes, masks,
+                                stride, nwords);
+  }
+}
+
+__attribute__((target("avx512f,avx512bw")))
+void decode_select16_avx512(const std::uint8_t* slots, std::size_t n,
+                            const std::uint8_t* lut, unsigned classes,
+                            std::uint64_t* masks, std::size_t stride) {
+  const __m512i table = _mm512_broadcast_i32x4(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(lut)));
+  const std::size_t nwords = n >> 6;
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const __m512i picked =
+        _mm512_shuffle_epi8(table, _mm512_loadu_si512(slots + w * 64));
+    for (unsigned c = 0; c < classes; ++c) {
+      masks[c * stride + w] = _cvtmask64_u64(_mm512_cmpeq_epi8_mask(
+          picked, _mm512_set1_epi8(static_cast<char>(c))));
+    }
+  }
+  if (nwords * 64 < n) {
+    decode_select16_word_scalar(slots, nwords * 64, n, lut, classes, masks,
+                                stride, nwords);
+  }
+}
+
 /// Word-parallel shuffle advance, one PEXT/PDEP pass per slot class per
 /// word (see the header).  The carry bit of slot class s *is* slot s of
 /// the buffer, so the in/out state is exactly the slots mask.
@@ -406,6 +479,21 @@ void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
   (void)value_bound;
 #endif
   mod_bytes_scalar(vals, n, bound, out);
+}
+
+void decode_select16(const std::uint8_t* slots, std::size_t n,
+                     const std::uint8_t* lut, unsigned classes,
+                     std::uint64_t* masks, std::size_t stride) {
+  switch (active_tier()) {
+#if SC_SIMD_X86
+    case Tier::kAvx512:
+      return decode_select16_avx512(slots, n, lut, classes, masks, stride);
+    case Tier::kAvx2:
+      return decode_select16_avx2(slots, n, lut, classes, masks, stride);
+#endif
+    default:
+      return decode_select16_scalar(slots, n, lut, classes, masks, stride);
+  }
 }
 
 void shuffle_words(std::uint64_t* words, const std::uint8_t* r, std::size_t n,

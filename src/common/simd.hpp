@@ -67,6 +67,21 @@ void pack_compare_trace(const std::uint32_t* raw, const std::uint16_t* thresh,
 void mod_bytes(const std::uint32_t* vals, std::size_t n, std::uint32_t bound,
                std::uint64_t value_bound, std::uint8_t* out);
 
+// ---------------------------------------------------------- select decode
+
+/// Decodes a 4-bit select trace into one bit mask per selected class:
+/// for i in [0, n), bit i%64 of masks[lut[slots[i]] * stride + i/64] is
+/// set.  The ceil(n/64) words of each of the `classes` masks are
+/// overwritten, so every other bit there (the tail past n included) ends
+/// clear.  Requires slots[i] < 16, lut[s] < classes for s < 16, classes
+/// <= 16 and stride >= ceil(n/64).  This is the MUX-tree weight decoder
+/// (img::kGaussianSelect16 as `lut`): the vector tiers map 64 slots per
+/// word through the table with one byte shuffle, then take each class's
+/// mask with one byte compare.
+void decode_select16(const std::uint8_t* slots, std::size_t n,
+                     const std::uint8_t* lut, unsigned classes,
+                     std::uint64_t* masks, std::size_t stride);
+
 // ------------------------------------------------------- shuffle datapath
 
 /// Advances one shuffle buffer `n` cycles, word-parallel, in place.

@@ -1,14 +1,19 @@
 #include "func/fsm_function.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace sc::func {
 
 SaturatingCounter::SaturatingCounter(unsigned states)
     : states_(states), state_(states / 2) {
-  assert(states >= 2 && states % 2 == 0);
+  if (states < 2 || states % 2 != 0) {
+    throw std::invalid_argument(
+        "SaturatingCounter: state count must be even and >= 2, got " +
+        std::to_string(states));
+  }
 }
 
 unsigned SaturatingCounter::step(bool up) {
@@ -20,7 +25,23 @@ unsigned SaturatingCounter::step(bool up) {
   return state_;
 }
 
+void SaturatingCounter::set_state(unsigned state) {
+  if (state >= states_) {
+    throw std::invalid_argument("SaturatingCounter::set_state: state " +
+                                std::to_string(state) + " outside [0, " +
+                                std::to_string(states_) + ")");
+  }
+  state_ = state;
+}
+
 void SaturatingCounter::reset() { state_ = states_ / 2; }
+
+Sexp::Sexp(unsigned states, unsigned g) : counter_(states), g_(g) {
+  if (g < 1 || g >= states) {
+    throw std::invalid_argument("Sexp: g must be in [1, states), got " +
+                                std::to_string(g));
+  }
+}
 
 Bitstream stanh(const Bitstream& x, unsigned states) {
   Stanh unit(states);

@@ -25,6 +25,7 @@ namespace sc::func {
 /// Input 1 counts up, input 0 counts down, clamped to [0, states-1].
 class SaturatingCounter {
  public:
+  /// Throws std::invalid_argument unless `states` is even and >= 2.
   explicit SaturatingCounter(unsigned states);
 
   /// Consumes one input bit, returns the new state.
@@ -32,6 +33,9 @@ class SaturatingCounter {
 
   [[nodiscard]] unsigned state() const { return state_; }
   [[nodiscard]] unsigned states() const { return states_; }
+  /// Restores a state (e.g. one a word path advanced to); throws
+  /// std::invalid_argument when `state` >= states().
+  void set_state(unsigned state);
   void reset();
 
  private:
@@ -48,6 +52,8 @@ class Stanh {
   bool step(bool in) {
     return counter_.step(in) >= counter_.states() / 2;
   }
+  /// The unit's state (lets a word path carry it across chunks).
+  SaturatingCounter& counter() { return counter_; }
   void reset() { counter_.reset(); }
 
  private:
@@ -61,10 +67,14 @@ Bitstream stanh(const Bitstream& x, unsigned states);
 /// p(out) ~ exp(-2 g v) for bipolar v > 0 (Brown & Card's sexp).
 class Sexp {
  public:
-  Sexp(unsigned states, unsigned g) : counter_(states), g_(g) {}
+  /// Throws std::invalid_argument unless `states` is even and >= 2 and
+  /// g is in [1, states) (outside it the output is constant).
+  Sexp(unsigned states, unsigned g);
   bool step(bool in) {
     return counter_.step(in) < counter_.states() - g_;
   }
+  /// The unit's state (lets a word path carry it across chunks).
+  SaturatingCounter& counter() { return counter_; }
   void reset() { counter_.reset(); }
 
  private:

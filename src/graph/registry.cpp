@@ -3,12 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "arith/add.hpp"
 #include "arith/divide.hpp"
 #include "bitstream/encoding.hpp"
+#include "common/simd.hpp"
 #include "func/bernstein.hpp"
 #include "func/fsm_function.hpp"
 #include "hw/designs.hpp"
@@ -63,6 +67,15 @@ namespace {
 
 // ------------------------------------------------------------ evaluators
 
+/// Clears the bits past size() in `out`'s last word (the Bitstream
+/// invariant) after a word loop that may have set them.
+void mask_tail(Bitstream& out) {
+  const unsigned rem = out.size() % 64;
+  if (rem != 0 && out.word_count() > 0) {
+    out.word_data()[out.word_count() - 1] &= (Bitstream::Word{1} << rem) - 1;
+  }
+}
+
 /// Stateless two-input gates, with the word-parallel Bitstream operators
 /// as the kernel path (bit-identical: both are the same boolean function).
 class GateEvaluator final : public OpEvaluator {
@@ -109,15 +122,6 @@ class GateEvaluator final : public OpEvaluator {
   }
 
  private:
-  static void mask_tail(Bitstream& out) {
-    const unsigned rem = out.size() % 64;
-    if (rem != 0 && out.word_count() > 0) {
-      out.word_data()[out.word_count() - 1] &=
-          (Bitstream::Word{1} << rem) - 1;
-    }
-  }
-
- private:
   Gate gate_;
 };
 
@@ -130,10 +134,7 @@ class NotEvaluator final : public OpEvaluator {
     const std::vector<Bitstream::Word>& x = ins[0]->words();
     Bitstream::Word* w = out.word_data();
     for (std::size_t i = 0; i < x.size(); ++i) w[i] = ~x[i];
-    const unsigned rem = out.size() % 64;
-    if (rem != 0 && out.word_count() > 0) {
-      w[out.word_count() - 1] &= (Bitstream::Word{1} << rem) - 1;
-    }
+    mask_tail(out);
   }
 };
 
@@ -181,41 +182,142 @@ class MuxEvaluator final : public OpEvaluator {
   std::vector<Bitstream::Word> select_;
 };
 
-/// CORDIV divider (paper Fig. 2e) — stateful, bit-serial by definition.
+/// CORDIV divider (paper Fig. 2e): z = y ? x : z_prev.  The word path
+/// forward-fills the quotient bits sampled under y = 1 across each word;
+/// cycles before the word's first y = 1 replay the held bit.
 class CordivEvaluator final : public OpEvaluator {
  public:
   bool step(const bool* in) override { return cell_.step(in[0], in[1]); }
+
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Bitstream::Word* x = ins[0]->words().data();
+    const Bitstream::Word* y = ins[1]->words().data();
+    Bitstream::Word* w = out.word_data();
+    Bitstream::Word held = cell_.held() ? ~Bitstream::Word{0} : 0;
+    for (std::size_t i = 0; i < out.word_count(); ++i) {
+      // After the shift by s, bit b of `sampled` marks a y = 1 within the
+      // last 2s cycles up to b, and bit b of `z` is the x of the latest.
+      Bitstream::Word sampled = y[i];
+      Bitstream::Word z = x[i] & sampled;
+      for (unsigned s = 1; s < 64; s <<= 1) {
+        z |= (z << s) & ~sampled;
+        sampled |= sampled << s;
+      }
+      z |= ~sampled & held;
+      w[i] = z;
+      // Past the chunk y is clear, so bit 63 is the last cycle's output.
+      held = Bitstream::Word{0} - (z >> 63);
+    }
+    cell_.set_held(held != 0);
+    mask_tail(out);
+  }
 
  private:
   arith::Cordiv cell_;
 };
 
-/// Deterministic CA toggle adder (paper ref [9] class).
+/// Deterministic CA toggle adder (paper ref [9] class): x where x == y,
+/// else the T flip-flop, which flips at every disagreeing cycle.  The word
+/// path is a prefix XOR of x ^ y with the toggle carried in.
 class ToggleAddEvaluator final : public OpEvaluator {
  public:
   bool step(const bool* in) override { return cell_.step(in[0], in[1]); }
+
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Bitstream::Word* x = ins[0]->words().data();
+    const Bitstream::Word* y = ins[1]->words().data();
+    Bitstream::Word* w = out.word_data();
+    Bitstream::Word toggle = cell_.toggle() ? ~Bitstream::Word{0} : 0;
+    for (std::size_t i = 0; i < out.word_count(); ++i) {
+      const Bitstream::Word differ = x[i] ^ y[i];
+      Bitstream::Word flips = differ;  // bit b: parity of differ[0..b]
+      for (unsigned s = 1; s < 64; s <<= 1) flips ^= flips << s;
+      const Bitstream::Word state = flips ^ toggle;
+      w[i] = (x[i] & ~differ) | (differ & state);
+      // Past the chunk x == y == 0, so bit 63 is the final toggle.
+      toggle = Bitstream::Word{0} - (state >> 63);
+    }
+    cell_.set_toggle(toggle != 0);
+  }
 
  private:
   arith::ToggleAdder cell_;
 };
 
-/// Brown–Card saturating-counter FSM functions (stanh / sexp).
-class StanhEvaluator final : public OpEvaluator {
+/// (state x input byte) -> (output byte, next state) table of a Brown–Card
+/// function unit: entry (state << 8) | byte packs the eight output bits
+/// (LSB = first cycle) in bits 0..7 and the state after the byte above.
+using FsmByteTable = std::vector<std::uint32_t>;
+
+/// Largest state count a function unit registers with (its byte table is
+/// states KiB, so the cap bounds one at 4 MiB).
+constexpr unsigned kMaxFsmStates = 4096;
+
+/// Tables `unit` (stanh or sexp) by running its own step() over every byte
+/// from every state, so the table inherits the reference semantics.
+template <typename Unit>
+std::shared_ptr<const FsmByteTable> build_fsm_byte_table(Unit unit) {
+  const unsigned states = unit.counter().states();
+  if (states > kMaxFsmStates) {
+    throw std::invalid_argument("FSM function unit: " +
+                                std::to_string(states) + " states exceed " +
+                                std::to_string(kMaxFsmStates));
+  }
+  auto table = std::make_shared<FsmByteTable>(std::size_t{states} << 8);
+  for (unsigned s = 0; s < states; ++s) {
+    for (unsigned byte = 0; byte < 256; ++byte) {
+      unit.counter().set_state(s);
+      std::uint32_t bits = 0;
+      for (unsigned b = 0; b < 8; ++b) {
+        bits |= (unit.step(((byte >> b) & 1u) != 0) ? 1u : 0u) << b;
+      }
+      (*table)[(std::size_t{s} << 8) | byte] =
+          bits | (unit.counter().state() << 8);
+    }
+  }
+  return table;
+}
+
+/// Brown–Card saturating-counter FSM functions (stanh / sexp).  The word
+/// path advances a byte per lookup in the unit's shared byte table; the
+/// last chunk's sub-byte tail runs step().  Either way the state lives in
+/// the unit's counter.
+template <typename Unit>
+class FsmFunctionEvaluator final : public OpEvaluator {
  public:
-  explicit StanhEvaluator(unsigned states) : fsm_(states) {}
-  bool step(const bool* in) override { return fsm_.step(in[0]); }
+  FsmFunctionEvaluator(Unit unit, std::shared_ptr<const FsmByteTable> table)
+      : unit_(std::move(unit)), table_(std::move(table)) {}
+
+  bool step(const bool* in) override { return unit_.step(in[0]); }
+
+  void process(sc::span<const Bitstream* const> ins,
+               Bitstream& out) override {
+    const Bitstream::Word* x = ins[0]->words().data();
+    Bitstream::Word* w = out.word_data();
+    std::fill_n(w, out.word_count(), Bitstream::Word{0});
+    const std::uint32_t* table = table_->data();
+    const std::size_t n = out.size();
+    std::uint32_t state = unit_.counter().state();
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const std::uint32_t entry =
+          table[(state << 8) | ((x[i >> 6] >> (i & 63)) & 0xFFu)];
+      w[i >> 6] |= Bitstream::Word{entry & 0xFFu} << (i & 63);
+      state = entry >> 8;
+    }
+    unit_.counter().set_state(state);
+    for (; i < n; ++i) {
+      if (unit_.step(((x[i >> 6] >> (i & 63)) & 1u) != 0)) {
+        w[i >> 6] |= Bitstream::Word{1} << (i & 63);
+      }
+    }
+  }
 
  private:
-  func::Stanh fsm_;
-};
-
-class SexpEvaluator final : public OpEvaluator {
- public:
-  SexpEvaluator(unsigned states, unsigned g) : fsm_(states, g) {}
-  bool step(const bool* in) override { return fsm_.step(in[0]); }
-
- private:
-  func::Sexp fsm_;
+  Unit unit_;
+  std::shared_ptr<const FsmByteTable> table_;
 };
 
 /// ReSC/Bernstein unit: per cycle, the popcount of the n operand bits (the
@@ -305,19 +407,20 @@ class GaussianBlurEvaluator final : public OpEvaluator {
   void process(sc::span<const Bitstream* const> ins,
                Bitstream& out) override {
     const std::size_t n = out.size();
+    const std::size_t words = out.word_count();
     slots_.resize(n);
     source_->fill_indices(slots_.data(), n, 16);  // == next() & 15
+    // pick_[k * words + j] marks the cycles of word j that select window
+    // pixel k.
+    pick_.resize(9 * words);
+    simd::decode_select16(slots_.data(), n, img::kGaussianSelect16.data(), 9,
+                          pick_.data(), words);
     Bitstream::Word* w = out.word_data();
-    for (std::size_t j = 0; j < out.word_count(); ++j) {
-      // pick[k] marks the cycles of this word that select window pixel k.
-      Bitstream::Word pick[9] = {};
-      const std::size_t bits = std::min<std::size_t>(64, n - j * 64);
-      for (std::size_t b = 0; b < bits; ++b) {
-        pick[img::kGaussianSelect16[slots_[j * 64 + b]]] |=
-            Bitstream::Word{1} << b;
-      }
+    for (std::size_t j = 0; j < words; ++j) {
       Bitstream::Word acc = 0;
-      for (std::size_t k = 0; k < 9; ++k) acc |= pick[k] & ins[k]->words()[j];
+      for (std::size_t k = 0; k < 9; ++k) {
+        acc |= pick_[k * words + j] & ins[k]->words()[j];
+      }
       w[j] = acc;
     }
   }
@@ -325,6 +428,7 @@ class GaussianBlurEvaluator final : public OpEvaluator {
  private:
   rng::RandomSourcePtr source_;
   std::vector<std::uint8_t> slots_;
+  std::vector<Bitstream::Word> pick_;
 };
 
 /// Roberts-cross edge magnitude (§IV pipeline stage): XOR the two window
@@ -520,40 +624,8 @@ void register_builtins(OperatorRegistry& reg) {
   }
 
   // --- FSM function units (Brown & Card; outside the Fig. 2 set) ----------
-  {
-    static constexpr unsigned kStates = 8;
-    OperatorDef def;
-    def.name = "stanh-8";
-    def.arity = 1;
-    def.exact = [](sc::span<const double> v) {
-      return clamp01(0.5 * (func::stanh_value(2 * v[0] - 1, kStates) + 1));
-    };
-    def.make_evaluator = [](const OpContext&) {
-      return std::make_unique<StanhEvaluator>(kStates);
-    };
-    def.netlist = [](unsigned) { return hw::fsm_unit_netlist(kStates); };
-    def.error_transfer =
-        error_transfers::fsm_lipschitz(/*lipschitz=*/kStates / 2.0, kStates);
-    reg.add(std::move(def));
-  }
-
-  {
-    static constexpr unsigned kStates = 8;
-    static constexpr unsigned kG = 1;
-    OperatorDef def;
-    def.name = "sexp-8-1";
-    def.arity = 1;
-    def.exact = [](sc::span<const double> v) {
-      return clamp01(func::sexp_value(2 * v[0] - 1, kStates, kG));
-    };
-    def.make_evaluator = [](const OpContext&) {
-      return std::make_unique<SexpEvaluator>(kStates, kG);
-    };
-    def.netlist = [](unsigned) { return hw::fsm_unit_netlist(kStates); };
-    def.error_transfer =
-        error_transfers::fsm_lipschitz(/*lipschitz=*/kStates / 2.0, kStates);
-    reg.add(std::move(def));
-  }
+  register_stanh(reg, "stanh-8", /*states=*/8);
+  register_sexp(reg, "sexp-8-1", /*states=*/8, /*g=*/1);
 
   // --- Bernstein/ReSC polynomial unit (Qian & Riedel) ---------------------
   register_bernstein(reg, "bernstein-x2-3",
@@ -693,6 +765,56 @@ OpId register_bernstein(OperatorRegistry& target, std::string name,
   };
   def.error_transfer =
       error_transfers::bernstein(static_cast<unsigned>(degree));
+  return target.add(std::move(def));
+}
+
+namespace {
+
+/// The fields stanh and sexp units share; the caller adds exact,
+/// make_evaluator and error_transfer.
+OperatorDef fsm_function_def(std::string name, unsigned states) {
+  OperatorDef def;
+  def.name = std::move(name);
+  def.arity = 1;
+  def.netlist = [states](unsigned) { return hw::fsm_unit_netlist(states); };
+  return def;
+}
+
+}  // namespace
+
+OpId register_stanh(OperatorRegistry& target, std::string name,
+                    unsigned states) {
+  // Built once here (which validates the state count); every evaluator of
+  // the operator shares it.
+  std::shared_ptr<const FsmByteTable> table =
+      build_fsm_byte_table(func::Stanh(states));
+  OperatorDef def = fsm_function_def(std::move(name), states);
+  def.exact = [states](sc::span<const double> v) {
+    return clamp01(0.5 * (func::stanh_value(2 * v[0] - 1, states) + 1));
+  };
+  def.make_evaluator = [states, table](const OpContext&) {
+    return std::make_unique<FsmFunctionEvaluator<func::Stanh>>(
+        func::Stanh(states), table);
+  };
+  // d/dp of 0.5 (tanh((states/2)(2p - 1)) + 1) peaks at states / 2.
+  def.error_transfer = error_transfers::fsm_lipschitz(states / 2.0, states);
+  return target.add(std::move(def));
+}
+
+OpId register_sexp(OperatorRegistry& target, std::string name,
+                   unsigned states, unsigned g) {
+  std::shared_ptr<const FsmByteTable> table =
+      build_fsm_byte_table(func::Sexp(states, g));
+  OperatorDef def = fsm_function_def(std::move(name), states);
+  def.exact = [states, g](sc::span<const double> v) {
+    return clamp01(func::sexp_value(2 * v[0] - 1, states, g));
+  };
+  def.make_evaluator = [states, g, table](const OpContext&) {
+    return std::make_unique<FsmFunctionEvaluator<func::Sexp>>(
+        func::Sexp(states, g), table);
+  };
+  // d/dp of exp(-2g (2p - 1)) peaks at 4g.
+  def.error_transfer = error_transfers::fsm_lipschitz(4.0 * g, states);
   return target.add(std::move(def));
 }
 

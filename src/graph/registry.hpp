@@ -22,6 +22,10 @@
 /// bipolar arithmetic, the Brown–Card FSM functions (stanh, sexp), a
 /// Bernstein/ReSC polynomial unit, and the §IV image-pipeline stages
 /// (3x3 Gaussian-blur MUX tree, Roberts cross) as composite operators.
+/// Every built-in evaluator overrides process() with a word-parallel path
+/// bit-identical to its step(), stateful ones (CORDIV, toggle adder,
+/// stanh, sexp) included; only caller-registered operators without an
+/// override run the default per-bit loop.
 
 #pragma once
 
@@ -224,5 +228,19 @@ OperatorRegistry& registry();
 OpId register_bernstein(OperatorRegistry& target, std::string name,
                         const std::function<double(double)>& f,
                         std::size_t degree);
+
+/// Registers a Brown–Card stochastic tanh unit with `states` states
+/// (even, in [2, 4096]) into `target`: out = 0.5 (tanh((states/2)(2x-1)) + 1)
+/// for a unipolar x.  Its (state x byte) word table is built here, once,
+/// and shared by every evaluator.  Throws std::invalid_argument on a bad
+/// state count.  Returns the new OpId.
+OpId register_stanh(OperatorRegistry& target, std::string name,
+                    unsigned states);
+
+/// Registers a Brown–Card stochastic exponential unit (output 0 only in the
+/// top `g` of `states` states, g in [1, states)) into `target`; otherwise
+/// as register_stanh.
+OpId register_sexp(OperatorRegistry& target, std::string name,
+                   unsigned states, unsigned g);
 
 }  // namespace sc::graph

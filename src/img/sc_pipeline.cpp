@@ -120,9 +120,8 @@ void process_tile(const Image& input, Variant variant,
   std::vector<std::uint8_t> slots(n);
   gen.gb_select.fill_indices(slots.data(), n, 16);  // == next() & 15
   std::vector<Word> pick(9 * words);
-  for (std::size_t i = 0; i < n; ++i) {
-    pick[kGaussianSelect16[slots[i]] * words + i / 64] |= Word{1} << (i % 64);
-  }
+  simd::decode_select16(slots.data(), n, kGaussianSelect16.data(), 9,
+                        pick.data(), words);
   const std::size_t gb_side = t + 1;
   std::vector<Word> gb_words(gb_side * gb_side * words);
   for (std::size_t gy = 0; gy < gb_side; ++gy) {

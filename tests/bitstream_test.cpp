@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 
 #include "bitstream/bitstream.hpp"
@@ -154,6 +155,46 @@ TEST(Bitstream, CompoundAssignmentOperators) {
   EXPECT_EQ(a.to_string(), "1010");
   a ^= b;
   EXPECT_EQ(a.to_string(), "0000");
+}
+
+// Length mismatches throw in every build type: the word loops would
+// otherwise read past the shorter operand's storage.
+TEST(Bitstream, AndRejectsLengthMismatch) {
+  EXPECT_THROW((void)(Bitstream(1 << 20) & Bitstream(64)),
+               std::invalid_argument);
+}
+
+TEST(Bitstream, OrRejectsLengthMismatch) {
+  EXPECT_THROW((void)(Bitstream(64) | Bitstream(65)), std::invalid_argument);
+}
+
+TEST(Bitstream, XorRejectsLengthMismatch) {
+  EXPECT_THROW((void)(Bitstream(0) ^ Bitstream(1)), std::invalid_argument);
+}
+
+TEST(Bitstream, AndAssignRejectsLengthMismatch) {
+  Bitstream a(1 << 20);
+  EXPECT_THROW(a &= Bitstream(64), std::invalid_argument);
+  EXPECT_EQ(a.size(), std::size_t{1} << 20);  // left untouched
+}
+
+TEST(Bitstream, OrAssignRejectsLengthMismatch) {
+  Bitstream a(64);
+  EXPECT_THROW(a |= Bitstream(1 << 20), std::invalid_argument);
+}
+
+TEST(Bitstream, XorAssignRejectsLengthMismatch) {
+  Bitstream a(100);
+  EXPECT_THROW(a ^= Bitstream(99), std::invalid_argument);
+}
+
+TEST(Bitstream, MuxRejectsLengthMismatch) {
+  const Bitstream x(128);
+  EXPECT_THROW((void)Bitstream::mux(x, Bitstream(64), x),
+               std::invalid_argument);
+  EXPECT_THROW((void)Bitstream::mux(x, x, Bitstream(1 << 20)),
+               std::invalid_argument);
+  EXPECT_EQ(Bitstream::mux(x, x, x).size(), 128u);
 }
 
 TEST(Bitstream, EqualityComparesContentAndLength) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "bitstream/correlation.hpp"
 #include "convert/sng.hpp"
@@ -35,6 +36,27 @@ TEST(SaturatingCounter, StartsMidScaleAndClamps) {
   EXPECT_EQ(counter.state(), 0u);
   counter.reset();
   EXPECT_EQ(counter.state(), 4u);
+}
+
+TEST(SaturatingCounter, RejectsOddOrTooFewStates) {
+  // The byte-table word paths index by state and rely on the even, >= 2
+  // invariant: a bad count must fail in Release as in Debug.
+  for (const unsigned states : {0u, 1u, 7u}) {
+    EXPECT_THROW(SaturatingCounter{states}, std::invalid_argument) << states;
+    EXPECT_THROW(Stanh{states}, std::invalid_argument) << states;
+    EXPECT_THROW((Sexp{states, 1}), std::invalid_argument) << states;
+  }
+  EXPECT_NO_THROW(SaturatingCounter{2});
+}
+
+TEST(SaturatingCounter, SetStateRoundTripsAndRejectsOutOfRange) {
+  SaturatingCounter counter(8);
+  counter.set_state(7);
+  EXPECT_EQ(counter.state(), 7u);
+  counter.step(true);
+  EXPECT_EQ(counter.state(), 7u);  // saturated
+  EXPECT_THROW(counter.set_state(8), std::invalid_argument);
+  EXPECT_EQ(counter.state(), 7u);
 }
 
 // --- stanh ------------------------------------------------------------------------
@@ -87,6 +109,14 @@ TEST(Sexp, DecaysWithPositiveInput) {
     const double expected = std::exp(-2.0 * g * v);
     EXPECT_NEAR(sexp(x, states, g).value(), expected, 0.12) << v;
   }
+}
+
+TEST(Sexp, RejectsGOutsideTheStates) {
+  // g = 0 or g >= states would make the output a constant 1.
+  for (const unsigned g : {0u, 8u, 9u}) {
+    EXPECT_THROW((Sexp{8, g}), std::invalid_argument) << g;
+  }
+  EXPECT_NO_THROW((Sexp{8, 7}));
 }
 
 TEST(Sexp, NearOneForNegativeInput) {

@@ -349,14 +349,89 @@ Bitstream slice(const Bitstream& stream, std::size_t offset,
   return out;
 }
 
+/// Stream lengths and word-aligned chunk sizes of the process()-vs-step()
+/// checks: lengths around the word, the natural 2^16 and past it.
+constexpr std::size_t kEvalLengths[] = {1,    63,    64,    65,
+                                        4095, 65535, 65536, 70000};
+constexpr std::size_t kEvalChunks[] = {64, 4096, 128, 65536, 192};
+
+/// Drives def's process() chunk by chunk on word-aligned splits (as the
+/// engine backend does) and requires it to equal the bit-serial step()
+/// loop of a fresh evaluator over the same operands.
+void expect_process_matches_step(const OperatorDef& def, const OpContext& ctx,
+                                 const std::vector<Bitstream>& operands) {
+  const std::size_t n = ctx.stream_length;
+  const auto serial = def.make_evaluator(ctx);
+  serial->begin(n);
+  Bitstream expect(n);
+  bool bits[kMaxArity];
+  for (std::size_t i = 0; i < n; ++i) {
+    for (unsigned k = 0; k < def.arity; ++k) bits[k] = operands[k].get(i);
+    if (serial->step(bits)) expect.set(i, true);
+  }
+
+  const auto word = def.make_evaluator(ctx);
+  word->begin(n);
+  Bitstream got(n);
+  std::size_t offset = 0;
+  for (std::size_t c = 0; offset < n; ++c) {
+    const std::size_t take =
+        std::min(kEvalChunks[c % std::size(kEvalChunks)], n - offset);
+    std::vector<Bitstream> pieces;
+    for (const Bitstream& operand : operands) {
+      pieces.push_back(slice(operand, offset, take));
+    }
+    std::vector<const Bitstream*> ins;
+    for (const Bitstream& piece : pieces) ins.push_back(&piece);
+    Bitstream out(take);
+    word->process(sc::span<const Bitstream* const>(ins.data(), ins.size()),
+                  out);
+    for (std::size_t i = 0; i < take; ++i) {
+      if (out.get(i)) got.set(offset + i, true);
+    }
+    // The tail past the chunk must stay clear (Bitstream invariant).
+    EXPECT_EQ(out.count_ones(), slice(out, 0, take).count_ones());
+    offset += take;
+  }
+  EXPECT_EQ(got, expect) << def.name << " width " << ctx.width << " n " << n;
+}
+
+OpContext eval_context(std::size_t n, unsigned width) {
+  OpContext ctx;
+  ctx.stream_length = n;
+  ctx.width = width;
+  ctx.node = 5;
+  ctx.base_seed = 3;
+  return ctx;
+}
+
+Bitstream bernoulli_bits(std::mt19937_64& gen, std::size_t n, double p) {
+  Bitstream stream(n);
+  std::bernoulli_distribution bit(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (bit(gen)) stream.set(i, true);
+  }
+  return stream;
+}
+
+/// Alternating runs of 1s and 0s with geometric lengths of the given
+/// means: long runs carry an FSM's state across chunk boundaries.
+Bitstream bursty_bits(std::mt19937_64& gen, std::size_t n, double mean_ones,
+                      double mean_zeros) {
+  Bitstream stream(n);
+  std::bernoulli_distribution end_ones(1.0 / mean_ones);
+  std::bernoulli_distribution end_zeros(1.0 / mean_zeros);
+  bool one = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (one) stream.set(i, true);
+    if (one ? end_ones(gen) : end_zeros(gen)) one = !one;
+  }
+  return stream;
+}
+
 TEST(Evaluators, RngDrivenProcessMatchesStepOverChunkSplits) {
-  // Each RNG-driven operator's word-parallel process(), driven chunk by
-  // chunk on word-aligned splits (as the engine backend does), must equal
-  // the bit-serial step() loop of a fresh evaluator — at a width whose
-  // period is far shorter than the run and at the natural width 16.
-  static constexpr std::size_t kLengths[] = {1,    63,    64,    65,
-                                             4095, 65535, 65536, 70000};
-  static constexpr std::size_t kChunks[] = {64, 4096, 128, 65536, 192};
+  // Each RNG-driven operator's process() must equal step() at a width
+  // whose period is far shorter than the run and at the natural width 16.
   // Bernstein units of degree 3, 7 and 15 bit-slice their operand count
   // over 2, 3 and 4 planes.
   OperatorRegistry reg = OperatorRegistry::with_builtins();
@@ -369,59 +444,63 @@ TEST(Evaluators, RngDrivenProcessMatchesStepOverChunkSplits) {
                            "bernstein-x2-3", "bernstein-7", "bernstein-15"}) {
     const OperatorDef& def = *reg.find(name);
     for (const unsigned width : {8u, 16u}) {
-      for (const std::size_t n : kLengths) {
+      for (const std::size_t n : kEvalLengths) {
         std::vector<Bitstream> operands;
         for (unsigned k = 0; k < def.arity; ++k) {
-          Bitstream stream(n);
-          const double p = 0.15 + 0.05 * k;
-          std::bernoulli_distribution bit(p);
-          for (std::size_t i = 0; i < n; ++i) {
-            if (bit(gen)) stream.set(i, true);
-          }
-          operands.push_back(std::move(stream));
+          operands.push_back(bernoulli_bits(gen, n, 0.15 + 0.05 * k));
         }
-        OpContext ctx;
-        ctx.stream_length = n;
-        ctx.width = width;
-        ctx.node = 5;
-        ctx.base_seed = 3;
-
-        const auto serial = def.make_evaluator(ctx);
-        serial->begin(n);
-        Bitstream expect(n);
-        bool bits[kMaxArity];
-        for (std::size_t i = 0; i < n; ++i) {
-          for (unsigned k = 0; k < def.arity; ++k) bits[k] = operands[k].get(i);
-          if (serial->step(bits)) expect.set(i, true);
-        }
-
-        const auto word = def.make_evaluator(ctx);
-        word->begin(n);
-        Bitstream got(n);
-        std::size_t offset = 0;
-        for (std::size_t c = 0; offset < n; ++c) {
-          const std::size_t take =
-              std::min(kChunks[c % std::size(kChunks)], n - offset);
-          std::vector<Bitstream> pieces;
-          for (const Bitstream& operand : operands) {
-            pieces.push_back(slice(operand, offset, take));
-          }
-          std::vector<const Bitstream*> ins;
-          for (const Bitstream& piece : pieces) ins.push_back(&piece);
-          Bitstream out(take);
-          word->process(
-              sc::span<const Bitstream* const>(ins.data(), ins.size()), out);
-          for (std::size_t i = 0; i < take; ++i) {
-            if (out.get(i)) got.set(offset + i, true);
-          }
-          // The tail past the chunk must stay clear (Bitstream invariant).
-          EXPECT_EQ(out.count_ones(), slice(out, 0, take).count_ones());
-          offset += take;
-        }
-        EXPECT_EQ(got, expect) << name << " width " << width << " n " << n;
+        expect_process_matches_step(def, eval_context(n, width), operands);
       }
     }
   }
+}
+
+TEST(Evaluators, FsmProcessMatchesStepOverChunkSplits) {
+  // The stateful operators carry one bit (CORDIV's held quotient, the
+  // toggle adder's T flip-flop) or a counter state (stanh / sexp) from
+  // chunk to chunk.  Operands keep that state alive across boundaries:
+  // y with long zero runs for CORDIV (the held bit replays), long x == y
+  // runs for the toggle adder, and long input runs that drive the
+  // counters into and out of both rails.
+  OperatorRegistry reg = OperatorRegistry::with_builtins();
+  register_stanh(reg, "stanh-4", 4);
+  register_stanh(reg, "stanh-16", 16);
+  register_sexp(reg, "sexp-4-1", 4, 1);
+  register_sexp(reg, "sexp-16-1", 16, 1);
+  register_sexp(reg, "sexp-8-2", 8, 2);
+  register_sexp(reg, "sexp-16-2", 16, 2);
+  std::mt19937_64 gen(23);
+  for (const std::size_t n : kEvalLengths) {
+    const OpContext ctx = eval_context(n, 16);
+    const Bitstream x = bernoulli_bits(gen, n, 0.5);
+    expect_process_matches_step(*reg.find("divide"), ctx,
+                                {x, bursty_bits(gen, n, 3.0, 300.0)});
+    expect_process_matches_step(*reg.find("toggle-add"), ctx,
+                                {x, x ^ bursty_bits(gen, n, 2.0, 500.0)});
+    for (const char* name : {"stanh-8", "sexp-8-1", "stanh-4", "stanh-16",
+                             "sexp-4-1", "sexp-16-1", "sexp-8-2",
+                             "sexp-16-2"}) {
+      expect_process_matches_step(*reg.find(name), ctx,
+                                  {bursty_bits(gen, n, 12.0, 12.0)});
+      expect_process_matches_step(*reg.find(name), ctx,
+                                  {bernoulli_bits(gen, n, 0.5)});
+    }
+  }
+}
+
+TEST(Evaluators, FsmFunctionRegistrationValidatesItsShape) {
+  OperatorRegistry reg;
+  for (const unsigned states : {0u, 1u, 7u, 4098u}) {
+    EXPECT_THROW(register_stanh(reg, "stanh", states), std::invalid_argument)
+        << states;
+    EXPECT_THROW(register_sexp(reg, "sexp", states, 1), std::invalid_argument)
+        << states;
+  }
+  EXPECT_THROW(register_sexp(reg, "sexp", 8, 0), std::invalid_argument);
+  EXPECT_THROW(register_sexp(reg, "sexp", 8, 8), std::invalid_argument);
+  EXPECT_EQ(reg.size(), 0u);
+  register_sexp(reg, "sexp", 8, 7);
+  EXPECT_NE(reg.find("sexp"), nullptr);
 }
 
 TEST(Backends, OutOfRangeLfsrWidthThrowsInsteadOfCrashing) {

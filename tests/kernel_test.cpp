@@ -6,13 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
+#include "common/simd.hpp"
 #include "core/decorrelator.hpp"
 #include "core/desynchronizer.hpp"
 #include "core/pair_transform.hpp"
@@ -23,6 +27,7 @@
 #include "graph/backend.hpp"
 #include "graph/planner.hpp"
 #include "graph/program.hpp"
+#include "img/kernels.hpp"
 #include "kernel/apply.hpp"
 #include "kernel/kernels.hpp"
 #include "rng/lfsr.hpp"
@@ -475,6 +480,43 @@ TEST(RandomSourceFill, LfsrFillMatchesNextExactly) {
     ASSERT_EQ(block[i], b.next());
   }
   ASSERT_EQ(a.next(), b.next());
+}
+
+// --- SIMD select decode ----------------------------------------------------
+
+TEST(SimdSelectDecode, MatchesPerBitLoopOnEveryTier) {
+  // The MUX-tree select decode against the per-bit loop it replaced, on
+  // whichever tier this process runs (CI repeats it under SC_SIMD=off and
+  // SC_SIMD=avx2).  Masks start as garbage to prove they are overwritten
+  // (tail bits included); the stride's spare words must stay untouched.
+  std::array<std::uint8_t, 16> identity{};
+  for (std::uint8_t s = 0; s < 16; ++s) identity[s] = s;
+  const std::pair<const std::uint8_t*, unsigned> luts[] = {
+      {img::kGaussianSelect16.data(), 9u}, {identity.data(), 16u}};
+  std::mt19937 gen(31);
+  std::uniform_int_distribution<int> slot(0, 15);
+  constexpr std::uint64_t kGarbage = 0xA5A5'5A5A'F00F'0FF0ull;
+  for (const auto& [lut, classes] : luts) {
+    for (const std::size_t n : kLengths) {
+      std::vector<std::uint8_t> slots(n);
+      for (std::uint8_t& s : slots) s = static_cast<std::uint8_t>(slot(gen));
+      const std::size_t words = (n + 63) / 64;
+      const std::size_t stride = words + 2;
+      std::vector<std::uint64_t> expect(classes * stride, kGarbage);
+      for (unsigned c = 0; c < classes; ++c) {
+        std::fill_n(expect.begin() + c * stride, words, 0);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        expect[lut[slots[i]] * stride + i / 64] |= std::uint64_t{1}
+                                                   << (i % 64);
+      }
+      std::vector<std::uint64_t> got(classes * stride, kGarbage);
+      simd::decode_select16(slots.data(), n, lut, classes, got.data(),
+                            stride);
+      EXPECT_EQ(got, expect) << simd::tier_name(simd::active_tier())
+                             << " classes " << classes << " n " << n;
+    }
+  }
 }
 
 }  // namespace
