@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
       sc::graph::ExecConfig config;
       config.stream_length = 4096;
       config.seed = session.strided_seed_for(i);
-      return sc::graph::make_backend(sc::graph::BackendKind::kKernel)
+      return sc::graph::make_backend(sc::graph::BackendKind::kEngine)
           ->run(g, plan, config);
     };
     std::vector<sc::graph::ExecutionResult> results;

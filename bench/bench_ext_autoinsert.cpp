@@ -89,7 +89,7 @@ int main() {
          {Strategy::kNone, Strategy::kRegeneration, Strategy::kManipulation}) {
       const ProgramPlan plan = plan_program(g, strategy);
       const ExecutionResult result =
-          make_backend(BackendKind::kKernel)->run(g, plan, {});
+          make_backend(BackendKind::kEngine)->run(g, plan, {});
       const hw::CostReport cost = hw::evaluate(plan.overhead);
       table.print_row(
           {to_string(strategy),

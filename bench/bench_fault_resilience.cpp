@@ -8,8 +8,8 @@
 /// Doubles as a CI self-check (exit 1 on failure):
 ///  * the ReCo1 ordering must hold — decorrelated multiply strictly
 ///    gentler error inflation than correlated max / min,
-///  * all three backends (plus a small-chunk pooled engine session) must
-///    produce bit-identical streams under one representative fault plan
+///  * the reference and engine backends (plus a small-chunk pooled engine
+///    session) must produce bit-identical streams under one representative fault plan
 ///    mixing every error kind.
 ///
 /// --json PATH writes the committed BENCH_fault.json baseline.
@@ -67,7 +67,6 @@ bool backends_identical(std::size_t stream_length) {
 
   engine::Session session({2, /*chunk_bits=*/192, 0x5eed});
   std::unique_ptr<graph::ExecutorBackend> candidates[] = {
-      graph::make_backend(graph::BackendKind::kKernel),
       graph::make_backend(graph::BackendKind::kEngine),
       graph::make_engine_backend(session),
   };

@@ -105,7 +105,6 @@ int main(int argc, char** argv) {
   sc::engine::Session session({0});
   std::vector<std::unique_ptr<ExecutorBackend>> backends;
   backends.push_back(make_backend(BackendKind::kReference));
-  backends.push_back(make_backend(BackendKind::kKernel));
   backends.push_back(make_engine_backend(session));
 
   const double node_bits = static_cast<double>(config.stream_length) *

@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
   sc::engine::Session session({0});
   std::vector<std::unique_ptr<ExecutorBackend>> backends;
   backends.push_back(make_backend(BackendKind::kReference));
-  backends.push_back(make_backend(BackendKind::kKernel));
   backends.push_back(make_engine_backend(session));
 
   const std::array<const char*, 4> modes = {"off", "metrics", "trace",

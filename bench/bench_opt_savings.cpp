@@ -13,7 +13,7 @@
 ///   window     — the §IV image-window program (realistic shape; measures
 ///                optimize overhead when there is little to rewrite).
 ///
-/// For every workload the optimized program is executed on all three
+/// For every workload the optimized program is executed on both
 /// backends and verified bit-identical across them before any number is
 /// written; the bench exits nonzero on divergence or if the optimizer
 /// fails to lower the modeled area of the fan-out workload.
@@ -115,11 +115,11 @@ WorkloadResult run_workload(sc::bench::Harness& harness,
   ExecConfig config;
   config.stream_length = stream_length;
   result.err_unoptimized =
-      make_backend(BackendKind::kKernel)->run(program, plan, config)
+      make_backend(BackendKind::kEngine)->run(program, plan, config)
           .mean_abs_error;
   ExecutionResult reference;
   for (const BackendKind kind :
-       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+       {BackendKind::kReference, BackendKind::kEngine}) {
     const ExecutionResult r = make_backend(kind)->run(
         optimized.program, optimized.plan, config);
     if (reference.streams.empty()) {
@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
     ExecConfig exec;
     exec.stream_length = stream_length;
     const double measured =
-        make_backend(BackendKind::kKernel)
+        make_backend(BackendKind::kEngine)
             ->run(optimized.program, optimized.plan, exec)
             .mean_abs_error;
     const std::string tag =

@@ -37,7 +37,7 @@ int main() {
               program.exact_value(program.find("edge")),
               program.exact_value(program.find("edge^2")));
 
-  const auto backend = make_backend(BackendKind::kKernel);
+  const auto backend = make_backend(BackendKind::kEngine);
   for (Strategy strategy :
        {Strategy::kNone, Strategy::kRegeneration, Strategy::kManipulation}) {
     const ProgramPlan plan = plan_program(program, strategy);
@@ -61,11 +61,11 @@ int main() {
     }
   }
 
-  // --- the same program, three interchangeable backends --------------------
+  // --- the same program, two interchangeable backends ----------------------
   const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
   std::printf("\nbackends (same plan, bit-identical by construction):\n");
   for (BackendKind kind :
-       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+       {BackendKind::kReference, BackendKind::kEngine}) {
     const auto be = make_backend(kind);
     const ExecutionResult r = be->run(program, plan, {});
     std::printf("  %-10s edge = %.4f, edge^2 = %.4f\n", be->name().c_str(),

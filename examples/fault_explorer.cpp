@@ -34,7 +34,7 @@ int main() {
   const graph::ProgramPlan plan =
       plan_program(program, graph::Strategy::kManipulation);
 
-  const auto backend = graph::make_backend(graph::BackendKind::kKernel);
+  const auto backend = graph::make_backend(graph::BackendKind::kEngine);
   graph::ExecConfig config;
   config.stream_length = 4096;
   config.width = 12;

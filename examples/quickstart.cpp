@@ -104,7 +104,7 @@ int main() {
   const graph::ProgramPlan plan =
       graph::plan_program(program, graph::Strategy::kManipulation);
   const graph::ExecutionResult run =
-      graph::make_backend(graph::BackendKind::kKernel)->run(program, plan, {});
+      graph::make_backend(graph::BackendKind::kEngine)->run(program, plan, {});
   std::printf(
       "\nplanner: inserted %zu %s -> product = %.3f (exact %.3f)\n"
       "(see examples/auto_insertion.cpp for the full program API)\n",

@@ -43,7 +43,7 @@
 ///     can budget against (OptResult::fragility_before/after).
 ///
 /// Validation: analysis_property_test checks predicted classes against
-/// measured bitstream::scc on random programs (all three backends) and
+/// measured bitstream::scc on random programs (both backends) and
 /// runs the planner differentially — every planner violation must be an
 /// analyzer error unless the analyzer *proved* a satisfying class, and
 /// those proofs are themselves measured.

@@ -22,8 +22,8 @@
 /// decorrelator-chain link keeps the single-shuffle residual, an
 /// unproven pair widens to the full Frechet width.
 ///
-/// Soundness invariant (checked over random programs x all three
-/// backends by analysis_accuracy_property_test): for every output,
+/// Soundness invariant (checked over random programs x both backends by
+/// analysis_accuracy_property_test): for every output,
 ///   |measured - exact| <= bound   with
 ///   bound = min(max(exact, 1 - exact), bias + kNSigma * sqrt(var)).
 /// The trivial cap makes the bound *deterministically* sound — measured

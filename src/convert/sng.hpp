@@ -22,8 +22,8 @@ namespace sc::convert {
 /// Comparator SNG bound to an owned random source.
 class Sng {
  public:
-  /// Takes ownership of the source.  Stream length N is 2^source->width()
-  /// unless overridden per call.
+  /// Takes ownership of the source (std::invalid_argument if null).  Stream
+  /// length N is 2^source->width() unless overridden per call.
   explicit Sng(rng::RandomSourcePtr source);
 
   /// Natural stream length: 2^width (one full source period).  64-bit
@@ -35,8 +35,8 @@ class Sng {
   /// Emits one bit for level x in [0, natural_length()].
   bool step(std::uint64_t level) { return source_->next() < level; }
 
-  /// Generates a length-n stream for integer level x in [0, natural_length()].
-  /// Does not reset the source first (streams generated back-to-back continue
+  /// Generates a length-n stream for integer level x in [0, natural_length()]
+  /// (std::invalid_argument above it).  Does not reset the source first (streams generated back-to-back continue
   /// the sequence); call reset() for a fresh period.
   Bitstream generate(std::uint64_t level, std::size_t n);
 

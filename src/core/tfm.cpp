@@ -1,8 +1,9 @@
 #include "core/tfm.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace sc::core {
 
@@ -11,8 +12,15 @@ TrackingForecastMemory::TrackingForecastMemory(Config config,
     : config_(config),
       source_(std::move(source)),
       scale_(std::int32_t{1} << config.precision) {
-  assert(source_ != nullptr);
-  assert(source_->width() == config_.precision);
+  if (source_ == nullptr) {
+    throw std::invalid_argument("TrackingForecastMemory: null random source");
+  }
+  if (source_->width() != config_.precision) {
+    throw std::invalid_argument(
+        "TrackingForecastMemory: source width " +
+        std::to_string(source_->width()) + " != precision " +
+        std::to_string(config_.precision));
+  }
   const double init = std::clamp(config_.initial, 0.0, 1.0);
   initial_ = static_cast<std::int32_t>(
       std::lround(init * static_cast<double>(scale_)));

@@ -40,7 +40,8 @@ class TrackingForecastMemory final : public StreamTransform {
   };
 
   /// \param source aux RNG for output regeneration; owned.  Its width must
-  ///               equal config.precision.
+  ///               equal config.precision (std::invalid_argument otherwise,
+  ///               and for a null source).
   TrackingForecastMemory(Config config, rng::RandomSourcePtr source);
 
   bool step(bool in) override;

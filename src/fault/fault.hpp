@@ -24,7 +24,7 @@
 /// Determinism contract: every random decision is a pure function of
 /// (plan seed, edge name, fault salt, absolute bit index) via a counter
 /// based SplitMix64 hash — random access, no carried generator state — so
-/// the reference, kernel, and engine backends corrupt *the same bits* no
+/// the reference and engine backends corrupt *the same bits* no
 /// matter how the stream is chunked, and a failing fuzz case replays from
 /// its logged seed.  Edges are addressed by the executed program's value
 /// names (stable across backends and across optimizer rewrites that keep

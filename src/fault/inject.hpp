@@ -7,8 +7,8 @@
 /// positional:
 ///
 ///  * apply_edge_faults(resolved, node, bits, offset) corrupts a span of a
-///    node's output stream given its absolute bit offset — the whole-stream
-///    backends call it once per node with offset 0, the chunked engine
+///    node's output stream given its absolute bit offset — the reference
+///    backend calls it once per node with offset 0, the chunked engine
 ///    backend once per chunk with the chunk's offset, and both produce the
 ///    same bits because every decision hashes the absolute index.
 ///

@@ -88,7 +88,7 @@ bool SweepReport::reco1_ordering_holds() const {
 
 SweepReport sweep(const SweepConfig& config) {
   SweepReport report;
-  const auto backend = graph::make_backend(config.backend);
+  const auto backend = graph::make_backend(graph::BackendKind::kEngine);
   const ExecConfig exec = exec_config(config);
 
   // --- error-rate sweep ---------------------------------------------------

@@ -53,7 +53,6 @@ struct SweepConfig {
   /// Injected i.i.d. flip rates; a clean (rate 0) reference column is
   /// always measured per circuit.
   std::vector<double> rates = {0.001, 0.01, 0.05, 0.1};
-  graph::BackendKind backend = graph::BackendKind::kKernel;
 };
 
 /// One (circuit, regime, rate) cell of the error-rate sweep.
@@ -114,7 +113,7 @@ struct SweepReport {
   [[nodiscard]] bool reco1_ordering_holds() const;
 };
 
-/// Runs both experiment families on config.backend.  Circuits x regimes:
+/// Runs both experiment families on the engine backend.  Circuits x regimes:
 ///   max / min   "correlated"     shared-trace inputs, no fix (SCC = +1)
 ///   multiply    "decorrelated"   shared-trace inputs + planned decorrelator
 ///   multiply    "independent"    independent inputs, no fix

@@ -176,8 +176,7 @@ std::uint64_t modeled_rng_draws(const Program& program,
   return per_cycle * static_cast<std::uint64_t>(n);
 }
 
-/// Per-run execution counters shared by the whole-stream and chunked
-/// paths.
+/// Per-run execution counters shared by the reference and chunked paths.
 void record_run_metrics(obs::Telemetry* telemetry, const char* backend,
                         const Program& program, const ProgramPlan& plan,
                         std::size_t n) {
@@ -253,15 +252,16 @@ void reduce_outputs(const Program& program, ExecutionResult& result,
           : total / static_cast<double>(result.output_nodes.size());
 }
 
-// ------------------------------------------------------- whole-stream path
+// ---------------------------------------------------------- reference path
 
-ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
-                          const ExecConfig& config, bool kernel_path) {
+/// The bit-serial oracle: every group trace drawn one value per cycle,
+/// fixes stepped cycle by cycle (core::apply), operators through the
+/// base OpEvaluator::process.
+ExecutionResult run_reference(const Program& program, const ProgramPlan& plan,
+                              const ExecConfig& config) {
   obs::Telemetry* const telemetry = obs::fallback(config.telemetry);
   obs::Tracer* const tracer = obs::tracer_of(telemetry);
-  const char* const backend_name = kernel_path ? "kernel" : "reference";
-  obs::Span run_span(tracer, std::string("backend.run.") + backend_name,
-                     "backend");
+  obs::Span run_span(tracer, "backend.run.reference", "backend");
   run_span.arg("nodes", static_cast<std::uint64_t>(program.node_count()));
   run_span.arg("stream_bits",
                static_cast<std::uint64_t>(config.stream_length));
@@ -271,9 +271,9 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
   // 64-bit: `1u << 32` is UB and a uint32 period wraps to 0 at width 32.
   const std::uint64_t natural = std::uint64_t{1} << config.width;
 
-  // --- group traces (reference path: the per-cycle comparator oracle) ----
+  // --- group traces: the per-cycle comparator oracle ----------------------
   std::map<unsigned, std::vector<std::uint32_t>> traces;
-  if (!kernel_path) {
+  {
     obs::Span trace_span(tracer, "backend.group_traces", "backend");
     for (NodeId id = 0; id < program.node_count(); ++id) {
       const ProgramNode& node = program.node(id);
@@ -300,17 +300,9 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
     if (node.kind != ProgramNode::Kind::kOp) {
       const std::uint64_t level = unipolar_level64(node.value, natural);
       Bitstream stream(n);
-      if (kernel_path) {
-        // Every source of a group replays the same seeded sequence, so a
-        // fresh register per source packs exactly the group trace's bits.
-        rng::Lfsr(config.width,
-                  derive_seed32(config.seed, node.rng_group, Role::kGroupTrace))
-            .fill_compare(stream.word_data(), n, level);
-      } else {
-        const auto& trace = traces.at(node.rng_group);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (trace[i] < level) stream.set(i, true);
-        }
+      const auto& trace = traces.at(node.rng_group);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (trace[i] < level) stream.set(i, true);
       }
       result.streams[id] = std::move(stream);
       fault::apply_edge_faults(faults, id, result.streams[id], 0);
@@ -354,8 +346,7 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
           fault::wrap_fsm_faults(
               make_fix_transform(fix.fix, config, tag, fix_lane(fix)), faults,
               id, static_cast<unsigned>(position));
-      const sc::StreamPair out = kernel_path ? kernel::apply(*transform, a, b)
-                                             : core::apply(*transform, a, b);
+      const sc::StreamPair out = core::apply(*transform, a, b);
       a = out.x;
       b = out.y;
     }
@@ -366,16 +357,11 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
         def.make_evaluator(context_for(program, id, config));
     evaluator->begin(n);
     Bitstream out(n);
-    const sc::span<const Bitstream* const> ins(operands.data(),
-                                               operands.size());
-    if (kernel_path) {
-      evaluator->process(ins, out);
-    } else {
-      // Non-virtual call: the base implementation IS the bit-serial
-      // reference semantics; subclass overrides are the fast paths
-      // checked against it.
-      evaluator->OpEvaluator::process(ins, out);
-    }
+    // Non-virtual call: the base implementation IS the bit-serial reference
+    // semantics; subclass overrides are the fast paths checked against it.
+    evaluator->OpEvaluator::process(
+        sc::span<const Bitstream* const>(operands.data(), operands.size()),
+        out);
     result.streams[id] = std::move(out);
     fault::apply_edge_faults(faults, id, result.streams[id], 0);
     measured[id] = result.streams[id].value();
@@ -383,7 +369,7 @@ ExecutionResult run_whole(const Program& program, const ProgramPlan& plan,
 
   reduce_outputs(program, result, measured);
   if (telemetry != nullptr) {
-    record_run_metrics(telemetry, backend_name, program, plan, n);
+    record_run_metrics(telemetry, "reference", program, plan, n);
     // Probes tap the finished (post-fault) streams; feeding them whole
     // yields the same windows as the chunked engine's live taps.
     obs::ProbeSet probes = make_probe_set(telemetry, program);
@@ -416,7 +402,8 @@ void copy_chunk_into(Bitstream& dst, const Bitstream& chunk,
 struct ChunkNodeState {
   // Inputs/constants: lazy SNG source.
   std::unique_ptr<engine::SngChunkSource> source;
-  // Ops: planned fixes (as chunk appliers) and the evaluator.
+  // Ops: planned fixes (as chunk appliers; null for regeneration) and the
+  // evaluator.
   std::vector<std::unique_ptr<core::PairTransform>> fix_transforms;
   std::vector<std::unique_ptr<kernel::ChunkedPairApplier>> fix_appliers;
   std::vector<const PairFix*> fixes;
@@ -432,13 +419,6 @@ struct ChunkNodeState {
 ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
                             const ExecConfig& config,
                             engine::Session* session) {
-  // Regeneration is stream-wide (S/D counts the whole operand before the
-  // D/S re-encode can emit bit 0), so such plans cannot stream causally;
-  // fall back to whole-stream kernel execution — still bit-identical.
-  if (plan.has_regeneration()) {
-    return run_whole(program, plan, config, /*kernel_path=*/true);
-  }
-
   obs::Telemetry* const telemetry = obs::fallback(config.telemetry);
   obs::Tracer* const tracer = obs::tracer_of(telemetry);
   obs::Span run_span(tracer, "backend.run.engine", "backend");
@@ -449,9 +429,14 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
       fault::resolve(config.fault_plan, program, &plan, telemetry);
   const std::size_t n = config.stream_length;
   const std::uint64_t natural = std::uint64_t{1} << config.width;
-  std::size_t chunk_bits =
-      session != nullptr ? session->config().chunk_bits
-                         : engine::kDefaultChunkBits;
+  // Regeneration is stream-wide (S/D counts the whole operand before the
+  // D/S re-encode can emit bit 0), so a plan with a regeneration fix runs
+  // as one chunk (n rounded up to a word): each scratch pair it
+  // regenerates is then the whole operand.
+  std::size_t chunk_bits = plan.has_regeneration() ? n + 63
+                           : session != nullptr
+                               ? session->config().chunk_bits
+                               : engine::kDefaultChunkBits;
   // Word-align so chunk concatenation is a word copy; keep >= 64.
   chunk_bits = std::max<std::size_t>(64, chunk_bits & ~std::size_t{63});
 
@@ -480,14 +465,17 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
         // Wrapped fix FSMs (fault plans) have no table kernel; the
         // applier below steps them bit-serially with state carried
         // across chunks, landing the corruption on the same absolute
-        // cycle as the whole-stream backends.
+        // cycle as the reference backend.
         state.fix_transforms.push_back(fault::wrap_fsm_faults(
             make_fix_transform(state.fixes[lane]->fix, config,
                                node.seed_tag, fix_lane(*state.fixes[lane])),
             faults, id, static_cast<unsigned>(lane)));
-        auto applier = std::make_unique<kernel::ChunkedPairApplier>(
-            *state.fix_transforms.back());
-        applier->begin(n);
+        std::unique_ptr<kernel::ChunkedPairApplier> applier;
+        if (state.fix_transforms.back() != nullptr) {
+          applier = std::make_unique<kernel::ChunkedPairApplier>(
+              *state.fix_transforms.back());
+          applier->begin(n);
+        }
         state.fix_appliers.push_back(std::move(applier));
       }
       state.evaluator = program.def_of(id).make_evaluator(
@@ -528,12 +516,19 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
         return state.scratch[static_cast<std::size_t>(
             it - state.fixed_slots.begin())];
       };
-      for (std::size_t lane = 0; lane < state.fix_appliers.size(); ++lane) {
-        obs::Span fix_span(tracer, "fix." + to_string(state.fixes[lane]->fix),
-                           "node.fix");
-        state.fix_appliers[lane]->advance(
-            scratch_of(state.fixes[lane]->operand_a),
-            scratch_of(state.fixes[lane]->operand_b));
+      for (std::size_t lane = 0; lane < state.fixes.size(); ++lane) {
+        const PairFix& fix = *state.fixes[lane];
+        obs::Span fix_span(tracer, "fix." + to_string(fix.fix), "node.fix");
+        Bitstream& a = scratch_of(fix.operand_a);
+        Bitstream& b = scratch_of(fix.operand_b);
+        if (state.fix_appliers[lane] != nullptr) {
+          state.fix_appliers[lane]->advance(a, b);
+        } else {
+          // Regeneration: the plan runs as one chunk, so a and b are the
+          // whole operands.
+          apply_regeneration(fix.fix, a, b, config, node.seed_tag,
+                             fix_lane(fix));
+        }
       }
       state.chunk.assign_zero(take);
       state.evaluator->process(
@@ -543,7 +538,7 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
     }
     // Corrupt the chunk at its absolute offset *before* the ones count and
     // the downstream reads — consumers of a faulted edge must see the
-    // faulted bits, exactly as in the whole-stream path.
+    // faulted bits, exactly as in the reference path.
     fault::apply_edge_faults(faults, id, state.chunk, offset);
     state.ones += state.chunk.count_ones();
     if (config.keep_streams) {
@@ -578,7 +573,9 @@ ExecutionResult run_chunked(const Program& program, const ProgramPlan& plan,
   }
   stats.peak_buffer_bits = program.node_count() * chunk_bits;
   for (ChunkNodeState& state : states) {
-    for (auto& applier : state.fix_appliers) applier->finish();
+    for (auto& applier : state.fix_appliers) {
+      if (applier != nullptr) applier->finish();
+    }
   }
   if (session != nullptr) {
     session->note_chunked(stats);
@@ -682,19 +679,7 @@ class ReferenceBackend final : public ExecutorBackend {
                       const ExecConfig& config) override {
     return run_with_optimizer(
         program, plan, config, [&](const Program& p, const ProgramPlan& pl) {
-          return run_whole(p, pl, config, /*kernel_path=*/false);
-        });
-  }
-};
-
-class KernelBackend final : public ExecutorBackend {
- public:
-  [[nodiscard]] std::string name() const override { return "kernel"; }
-  ExecutionResult run(const Program& program, const ProgramPlan& plan,
-                      const ExecConfig& config) override {
-    return run_with_optimizer(
-        program, plan, config, [&](const Program& p, const ProgramPlan& pl) {
-          return run_whole(p, pl, config, /*kernel_path=*/true);
+          return run_reference(p, pl, config);
         });
   }
 };
@@ -721,8 +706,6 @@ std::unique_ptr<ExecutorBackend> make_backend(BackendKind kind) {
   switch (kind) {
     case BackendKind::kReference:
       return std::make_unique<ReferenceBackend>();
-    case BackendKind::kKernel:
-      return std::make_unique<KernelBackend>();
     case BackendKind::kEngine:
       return std::make_unique<EngineBackend>(nullptr);
   }

@@ -2,26 +2,26 @@
 /// Pluggable execution backends for registry programs.
 ///
 /// An ExecutorBackend turns (Program, ProgramPlan, ExecConfig) into a
-/// bit-true ExecutionResult.  Three implementations ship:
+/// bit-true ExecutionResult.  Two implementations ship:
 ///
 ///  * ReferenceBackend — everything bit-serial: operators step one cycle
 ///    at a time, planned fixes run the per-cycle FSMs (core::apply).  The
 ///    semantics oracle.
-///  * KernelBackend — whole-stream with the word-level kernel layer
-///    (src/kernel/) for fixes and the operators' word-parallel paths.
-///  * EngineBackend — chunked streaming: node streams advance one
-///    fixed-size chunk at a time with FSM/evaluator state carried across
-///    chunk boundaries, so arbitrarily long streams execute in O(nodes x
-///    chunk) memory (set ExecConfig::keep_streams = false); optionally
-///    bound to an engine::Session whose chunk size / accounting it uses.
-///    Regeneration fixes are inherently stream-wide (they count the whole
-///    operand before re-encoding), so plans containing them fall back to
-///    whole-stream execution.
+///  * EngineBackend — the production executor: node streams advance one
+///    word-aligned chunk at a time through the word-level kernel layer
+///    (src/kernel/) and the operators' word-parallel paths, with
+///    FSM/evaluator state carried across chunk boundaries, so arbitrarily
+///    long streams execute in O(nodes x chunk) memory (set
+///    ExecConfig::keep_streams = false); optionally bound to an
+///    engine::Session whose chunk size / accounting it uses.  Regeneration
+///    fixes are inherently stream-wide (they count the whole operand
+///    before re-encoding), so a plan containing one runs as a single chunk
+///    spanning the whole stream.
 ///
-/// All three are bit-identical on the same (Program, ProgramPlan,
-/// ExecConfig) — enforced by differential tests — because every random
-/// decision derives from seeds.hpp's (node, role, lane) scheme and every
-/// fast path is a proven-equivalent rewrite of the serial one.
+/// Both are bit-identical on the same (Program, ProgramPlan, ExecConfig)
+/// — enforced by differential tests — because every random decision
+/// derives from seeds.hpp's (node, role, lane) scheme and every fast path
+/// is a proven-equivalent rewrite of the serial one.
 
 #pragma once
 
@@ -124,7 +124,7 @@ class ExecutorBackend {
                               const ExecConfig& config) = 0;
 };
 
-enum class BackendKind { kReference, kKernel, kEngine };
+enum class BackendKind { kReference, kEngine };
 
 /// Creates a backend.  kEngine made this way uses the default chunk size;
 /// bind a session with make_engine_backend to use the session's.

@@ -10,7 +10,7 @@ namespace {
 
 // Calibration constants of the builtin transfers.  Tightness is measured
 // by analysis_accuracy_property_test (ratio measured/bound logged over
-// seed-logged random programs x 3 backends); soundness does not hinge on
+// seed-logged random programs x 2 backends); soundness does not hinge on
 // them — the error model caps every bound at the trivial envelope — but
 // the multi-objective optimizer gate is only as selective as they are
 // tight.  The chain calibration test pins the decorrelator-chain numbers

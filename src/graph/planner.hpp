@@ -77,8 +77,8 @@ std::string to_string(FixKind kind);
 
 /// True when `kind` regenerates (S/D + D/S) rather than manipulating
 /// in-stream.  Regeneration is inherently stream-wide - it counts the
-/// whole operand before re-encoding - which is why the chunked engine
-/// backend falls back to whole-stream execution for such plans.
+/// whole operand before re-encoding - which is why the engine backend
+/// runs a plan containing one as a single whole-stream chunk.
 bool is_regenerating(FixKind kind);
 
 /// True when `kind` draws auxiliary RNG sequences (seeded per op node /

@@ -528,9 +528,9 @@ class TfmStreamKernel final : public StreamKernel {
 /// bits into y (preserving y's tail past `bits`), then runs the
 /// single-stream shuffle kernel on y — bit-identical to the serial step
 /// by the stream kernel's own equivalence.
-class ChainLinkKernel final : public PairKernel {
+class ChainLinkPairKernel final : public PairKernel {
  public:
-  explicit ChainLinkKernel(std::unique_ptr<StreamKernel> shuffle)
+  explicit ChainLinkPairKernel(std::unique_ptr<StreamKernel> shuffle)
       : shuffle_(std::move(shuffle)) {}
 
   void process(Word* xw, Word* yw, std::size_t bits) override {
@@ -572,7 +572,7 @@ std::unique_ptr<PairKernel> make_pair_kernel(core::PairTransform& transform) {
   if (auto* link = dynamic_cast<core::DecorrelatorChainLink*>(&transform)) {
     auto shuffle = make_stream_kernel(link->buffer());
     if (!shuffle) return nullptr;
-    return std::make_unique<ChainLinkKernel>(std::move(shuffle));
+    return std::make_unique<ChainLinkPairKernel>(std::move(shuffle));
   }
   if (auto* tfm = dynamic_cast<core::TfmPair*>(&transform)) {
     const auto& config = tfm->tfm_x().config();

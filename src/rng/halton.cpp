@@ -1,15 +1,24 @@
 #include "rng/halton.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sc::rng {
 
 Halton::Halton(unsigned width, unsigned base, std::uint32_t offset)
     : width_(width), base_(base), offset_(offset), counter_(offset) {
-  assert(width >= 1 && width <= 31);
-  assert(base >= 2);
+  if (width < 1 || width > 31) {
+    throw std::invalid_argument("Halton: width " + std::to_string(width) +
+                                " outside 1..31");
+  }
+  // Base 1 never shrinks t in radical_inverse (an endless loop from the
+  // second draw on); base 0 divides by zero.
+  if (base < 2) {
+    throw std::invalid_argument("Halton: base " + std::to_string(base) +
+                                " must be >= 2");
+  }
 }
 
 double Halton::radical_inverse(std::uint64_t t, unsigned base) {

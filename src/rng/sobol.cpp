@@ -1,8 +1,9 @@
 #include "rng/sobol.hpp"
 
 #include "common/bitops.hpp"
-#include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace sc::rng {
@@ -36,8 +37,15 @@ constexpr std::array<JoeKuoEntry, 11> kJoeKuo = {{
 
 Sobol::Sobol(unsigned width, unsigned dimension)
     : width_(width), dimension_(dimension) {
-  assert(width >= 1 && width <= 32);
-  assert(dimension >= 1 && dimension <= kMaxDimension);
+  if (width < 1 || width > 32) {
+    throw std::invalid_argument("Sobol: width " + std::to_string(width) +
+                                " outside 1..32");
+  }
+  if (dimension < 1 || dimension > kMaxDimension) {
+    throw std::invalid_argument("Sobol: dimension " +
+                                std::to_string(dimension) + " outside 1.." +
+                                std::to_string(kMaxDimension));
+  }
 
   if (dimension == 1) {
     // First Sobol dimension: v_k = 2^(32-k), i.e. bit reversal.

@@ -1,17 +1,29 @@
 #include "rng/van_der_corput.hpp"
 
-#include <cassert>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace sc::rng {
+namespace {
+
+/// Rejects a width outside 1..32 before mask_ (initialized after width_)
+/// shifts by it.
+unsigned checked_width(unsigned width) {
+  if (width < 1 || width > 32) {
+    throw std::invalid_argument("VanDerCorput: width " +
+                                std::to_string(width) + " outside 1..32");
+  }
+  return width;
+}
+
+}  // namespace
 
 VanDerCorput::VanDerCorput(unsigned width, std::uint32_t offset)
-    : width_(width),
+    : width_(checked_width(width)),
       offset_(offset),
       counter_(offset),
-      mask_(width == 32 ? ~0u : (1u << width) - 1u) {
-  assert(width >= 1 && width <= 32);
-}
+      mask_(width == 32 ? ~0u : (1u << width) - 1u) {}
 
 std::uint32_t VanDerCorput::reverse_bits(std::uint32_t v, unsigned width) {
   std::uint32_t out = 0;

@@ -2,7 +2,7 @@
 /// on random registry programs, the measured per-output |error| of a
 /// real execution must never exceed the bound the abstract interpreter
 /// predicted — zero unsoundness across >= 200 seed-logged cases with
-/// backends rotating reference / kernel / engine and stream lengths
+/// backends alternating reference / engine and stream lengths
 /// rotating 2^10 .. 2^14.  Tightness (measured / bound) is logged so
 /// calibration drift is visible without being load-bearing.
 ///
@@ -57,8 +57,8 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
 TEST(AccuracyProperty, MeasuredErrorWithinPredictedBound) {
   const std::uint64_t base_seed = env_u64("SC_ACCURACY_SEED", 0xACC0ull);
   const std::uint64_t cases = env_u64("SC_ACCURACY_CASES", 210);
-  constexpr BackendKind kBackends[] = {
-      BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine};
+  constexpr BackendKind kBackends[] = {BackendKind::kReference,
+                                       BackendKind::kEngine};
   constexpr std::size_t kLengths[] = {1u << 10, 1u << 12, 1u << 14};
   constexpr Strategy kStrategies[] = {Strategy::kManipulation,
                                       Strategy::kRegeneration,
@@ -91,7 +91,7 @@ TEST(AccuracyProperty, MeasuredErrorWithinPredictedBound) {
         plan_accuracy(program, plan, AnalyzerConfig::from(exec));
     ASSERT_EQ(predicted.outputs.size(), program.outputs().size());
 
-    const auto backend = graph::make_backend(kBackends[index % 3]);
+    const auto backend = graph::make_backend(kBackends[index % 2]);
     const ExecutionResult result = backend->run(program, plan, exec);
     ASSERT_EQ(result.output_nodes.size(), predicted.outputs.size());
 
@@ -150,7 +150,7 @@ TEST(AccuracyCalibration, ChainRewriteBoundTracksMeasuredRegression) {
   ExecConfig exec;
   exec.stream_length = 4096;
   for (const BackendKind kind :
-       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+       {BackendKind::kReference, BackendKind::kEngine}) {
     const auto backend = graph::make_backend(kind);
     const double measured_pairwise =
         backend->run(program, pairwise, exec).abs_errors[0];

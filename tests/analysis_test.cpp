@@ -358,8 +358,7 @@ TEST(AnalyzeGate, ErrorFindingsAbortTheRun) {
   const Program program = two_group_multiply(2, alias);
   const ProgramPlan plan = plan_program(program, Strategy::kManipulation);
   for (const graph::BackendKind kind :
-       {graph::BackendKind::kReference, graph::BackendKind::kKernel,
-        graph::BackendKind::kEngine}) {
+       {graph::BackendKind::kReference, graph::BackendKind::kEngine}) {
     EXPECT_THROW(graph::make_backend(kind)->run(program, plan, config),
                  std::runtime_error);
   }

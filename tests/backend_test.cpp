@@ -1,6 +1,6 @@
 /// Tests for the pluggable execution backends and the seed-derivation
-/// scheme: differential bit-identity of Reference / Kernel / Engine on the
-/// same seeded Program (including randomly generated registry programs),
+/// scheme: differential bit-identity of Reference / Engine on the same
+/// seeded Program (including randomly generated registry programs),
 /// the planner-as-a-property check, seed distinctness regression, chunked
 /// long-stream execution, and end-to-end accuracy through operators the
 /// executor has no hardcoded knowledge of.
@@ -155,8 +155,11 @@ TEST(PlannerProperty, ManipulationLeavesNoProvablyViolatedPair) {
 
 TEST(Backends, BitIdenticalOnRandomProgramsUnderEveryStrategy) {
   const auto reference = make_backend(BackendKind::kReference);
-  const auto kernel = make_backend(BackendKind::kKernel);
   const auto engine = make_backend(BackendKind::kEngine);
+  // Small session chunks: manipulation plans cross chunk boundaries, and
+  // regeneration plans must still run as one whole-stream chunk.
+  engine::Session session({1, /*chunk_bits=*/128, 0x5eed});
+  const auto chunked = make_engine_backend(session);
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     std::mt19937_64 gen(1000 + seed);
     const Program p = random_program(gen);
@@ -167,33 +170,33 @@ TEST(Backends, BitIdenticalOnRandomProgramsUnderEveryStrategy) {
       config.stream_length = 300;  // not a word multiple
       config.seed = static_cast<std::uint32_t>(77 + seed);
       const ExecutionResult r = reference->run(p, plan, config);
-      const ExecutionResult k = kernel->run(p, plan, config);
       const ExecutionResult e = engine->run(p, plan, config);
+      const ExecutionResult c = chunked->run(p, plan, config);
       const std::string label =
           "seed " + std::to_string(seed) + " " + to_string(strategy);
-      expect_identical(r, k, label + " kernel");
       expect_identical(r, e, label + " engine");
+      expect_identical(r, c, label + " engine-chunk128");
     }
   }
 }
 
-TEST(Backends, EngineMatchesKernelAcrossChunkBoundaries) {
+TEST(Backends, EngineMatchesReferenceAcrossChunkBoundaries) {
   std::mt19937_64 gen(424242);
   const Program p = random_program(gen, 10);
   const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
 
   // Tiny session chunks force many boundary crossings (1000 = 7x128 + 104,
   // with a non-word tail); the pooled engine backend must still match the
-  // whole-stream kernel path bit for bit.
+  // bit-serial reference bit for bit.
   engine::Session session({2, /*chunk_bits=*/128, 0x5eed});
   const auto engine_backend = make_engine_backend(session);
-  const auto kernel_backend = make_backend(BackendKind::kKernel);
+  const auto reference_backend = make_backend(BackendKind::kReference);
 
   ExecConfig config;
   config.stream_length = 1000;
   const ExecutionResult chunked = engine_backend->run(p, plan, config);
-  const ExecutionResult whole = kernel_backend->run(p, plan, config);
-  expect_identical(chunked, whole, "chunked-vs-whole");
+  const ExecutionResult whole = reference_backend->run(p, plan, config);
+  expect_identical(chunked, whole, "chunked-vs-reference");
   EXPECT_GT(session.stats().chunked_runs, 0u);
   EXPECT_EQ(session.stats().stream_bits, 1000u);
 }
@@ -211,13 +214,13 @@ TEST(Backends, EngineRunsLongStreamsWithoutMaterializing) {
   config.stream_length = std::size_t{1} << 18;  // 256 Kbit per node
   config.width = 16;  // long runs need a long-period generator (2^16 - 1)
   config.keep_streams = false;
-  const ExecutionResult streamed =
-      make_backend(BackendKind::kEngine)->run(p, plan, config);
+  const auto engine = make_backend(BackendKind::kEngine);
+  const ExecutionResult streamed = engine->run(p, plan, config);
   EXPECT_TRUE(streamed.streams.empty());
 
   config.keep_streams = true;
-  const ExecutionResult whole =
-      make_backend(BackendKind::kKernel)->run(p, plan, config);
+  const ExecutionResult whole = engine->run(p, plan, config);
+  ASSERT_EQ(whole.streams.size(), p.node_count());
   ASSERT_EQ(streamed.values.size(), whole.values.size());
   for (std::size_t i = 0; i < whole.values.size(); ++i) {
     EXPECT_DOUBLE_EQ(streamed.values[i], whole.values[i]);
@@ -260,7 +263,7 @@ TEST(CustomOperator, PlansFixesAndExecutesThroughTheRegistry) {
   EXPECT_EQ(fixed_plan.fixes[0].fix, FixKind::kDecorrelator);
 
   for (const BackendKind kind :
-       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+       {BackendKind::kReference, BackendKind::kEngine}) {
     const auto backend = make_backend(kind);
     const double broken = backend->run(p, broken_plan, {}).mean_abs_error;
     const double fixed = backend->run(p, fixed_plan, {}).mean_abs_error;
@@ -282,7 +285,7 @@ TEST(Bernstein, PlannerBuildsTheDecorrelatorChainAutomatically) {
 
   ExecConfig config;
   config.stream_length = 2048;
-  const auto backend = make_backend(BackendKind::kKernel);
+  const auto backend = make_backend(BackendKind::kEngine);
   const double broken =
       backend->run(p, plan_program(p, Strategy::kNone), config)
           .mean_abs_error;
@@ -316,7 +319,7 @@ TEST(WindowProgram, PipelineStagesComposeAndPlanLikeThePaper) {
 
   ExecConfig config;
   config.stream_length = 4096;
-  const auto backend = make_backend(BackendKind::kKernel);
+  const auto backend = make_backend(BackendKind::kEngine);
   const double fixed = backend->run(p, plan, config).mean_abs_error;
   const double broken =
       backend->run(p, plan_program(p, Strategy::kNone), config)
@@ -327,7 +330,6 @@ TEST(WindowProgram, PipelineStagesComposeAndPlanLikeThePaper) {
 
 TEST(Backends, FactoryNamesAreStable) {
   EXPECT_EQ(make_backend(BackendKind::kReference)->name(), "reference");
-  EXPECT_EQ(make_backend(BackendKind::kKernel)->name(), "kernel");
   EXPECT_EQ(make_backend(BackendKind::kEngine)->name(), "engine");
 }
 

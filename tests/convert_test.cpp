@@ -1,5 +1,5 @@
-/// Tests for converters: comparator SNG (D/S), counter S/D, APC, and the
-/// regeneration baseline.
+/// Tests for converters: comparator SNG (D/S) and the regeneration
+/// baseline.
 
 #include <gtest/gtest.h>
 
@@ -10,9 +10,7 @@
 #include <vector>
 
 #include "bitstream/correlation.hpp"
-#include "convert/apc.hpp"
 #include "convert/regenerator.hpp"
-#include "convert/sd_converter.hpp"
 #include "convert/sng.hpp"
 #include "rng/counter_source.hpp"
 #include "rng/halton.hpp"
@@ -41,6 +39,14 @@ TEST_P(SngVdcExactness, VdcEncodesEveryLevelExactly) {
 INSTANTIATE_TEST_SUITE_P(Levels, SngVdcExactness,
                          ::testing::Values(0u, 1u, 2u, 17u, 64u, 127u, 128u,
                                            129u, 200u, 255u, 256u));
+
+TEST(Sng, NullSourceAndOutOfRangeLevelThrowInEveryBuild) {
+  // The null check must run before the initializer list reads the width.
+  EXPECT_THROW(Sng(nullptr), std::invalid_argument);
+  Sng sng(std::make_unique<rng::VanDerCorput>(8));
+  EXPECT_NO_THROW(sng.generate(256, 16));
+  EXPECT_THROW(sng.generate(257, 16), std::invalid_argument);
+}
 
 TEST(Sng, CounterSourceGivesRampStream) {
   Sng sng(std::make_unique<rng::CounterSource>(3));
@@ -102,91 +108,6 @@ TEST(Sng, StepMatchesGenerate) {
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_EQ(b.step(77), whole.get(i)) << i;
   }
-}
-
-// --- S/D ---------------------------------------------------------------------
-
-TEST(SdConverter, CountsOnes) {
-  SdConverter sd;
-  const Bitstream s = Bitstream::from_string("1101000101");
-  for (std::size_t i = 0; i < s.size(); ++i) sd.step(s.get(i));
-  EXPECT_EQ(sd.count(), 5u);
-  EXPECT_EQ(sd.cycles(), 10u);
-  EXPECT_DOUBLE_EQ(sd.value(), 0.5);
-}
-
-TEST(SdConverter, ResetClears) {
-  SdConverter sd;
-  sd.step(true);
-  sd.reset();
-  EXPECT_EQ(sd.count(), 0u);
-  EXPECT_DOUBLE_EQ(sd.value(), 0.0);
-}
-
-TEST(SdConverter, WholeStreamHelper) {
-  EXPECT_EQ(to_binary(Bitstream::from_string("11110001")), 5u);
-}
-
-TEST(SdConverter, RoundTripWithSng) {
-  // D/S then S/D recovers the level exactly with a VDC source.
-  Sng sng(std::make_unique<rng::VanDerCorput>(8));
-  for (std::uint32_t level : {0u, 3u, 128u, 251u, 256u}) {
-    sng.reset();
-    EXPECT_EQ(to_binary(sng.generate(level, 256)), level);
-  }
-}
-
-// --- APC ----------------------------------------------------------------------
-
-TEST(Apc, SumsParallelInputs) {
-  Apc apc(3);
-  const std::array<bool, 3> cycle1 = {true, true, false};
-  const std::array<bool, 3> cycle2 = {false, true, false};
-  apc.step(cycle1);
-  apc.step(cycle2);
-  EXPECT_EQ(apc.sum(), 3u);
-  EXPECT_EQ(apc.cycles(), 2u);
-  EXPECT_DOUBLE_EQ(apc.mean_value(), 0.5);
-}
-
-TEST(Apc, MeanValueExactAtEngineScaleCycleCounts) {
-  // The denominator inputs * cycles is formed in floating point; drive a
-  // long-stream-sized cycle count and require the exact mean (2/3 here is
-  // representable error-free relative to the 2^21-cycle sum).
-  Apc apc(3);
-  const std::array<bool, 3> cycle = {true, true, false};
-  const std::size_t cycles = std::size_t{1} << 21;
-  for (std::size_t i = 0; i < cycles; ++i) apc.step(cycle);
-  EXPECT_EQ(apc.cycles(), cycles);
-  EXPECT_EQ(apc.sum(), 2 * cycles);
-  EXPECT_DOUBLE_EQ(apc.mean_value(), 2.0 / 3.0);
-}
-
-TEST(Apc, ScaledSumExactAtEngineScaleLengths) {
-  const std::size_t n = std::size_t{1} << 21;
-  std::vector<Bitstream> streams;
-  streams.push_back(Bitstream(n, true));   // 1.0
-  streams.push_back(Bitstream(n, false));  // 0.0
-  Bitstream half(n);
-  for (std::size_t i = 0; i < n; i += 2) half.set(i, true);
-  streams.push_back(std::move(half));      // 0.5
-  EXPECT_DOUBLE_EQ(apc_scaled_sum(streams), 0.5);
-}
-
-TEST(Apc, WholeStreamScaledSumIsExact) {
-  // APC addition has no MUX sampling noise: it is the exact mean.
-  const std::vector<Bitstream> streams = {
-      Bitstream::from_string("11110000"),  // 0.5
-      Bitstream::from_string("11000000"),  // 0.25
-      Bitstream::from_string("11111100"),  // 0.75
-  };
-  EXPECT_DOUBLE_EQ(apc_scaled_sum(streams), 0.5);
-}
-
-TEST(Apc, EmptyInputsGiveZero) {
-  EXPECT_DOUBLE_EQ(apc_scaled_sum({}), 0.0);
-  Apc apc(2);
-  EXPECT_DOUBLE_EQ(apc.mean_value(), 0.0);
 }
 
 // --- regeneration ----------------------------------------------------------------

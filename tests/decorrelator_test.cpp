@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "bitstream/correlation.hpp"
 #include "bitstream/synthesis.hpp"
@@ -220,6 +221,18 @@ TEST(Tfm, RegenerationDecorrelatesPair) {
   TfmPair pair(tfm_config(), aux(31), aux(47));
   const auto out = apply(pair, x, y);
   EXPECT_LT(scc(out.x, out.y), 0.8);  // weaker than the decorrelator
+}
+
+TEST(Tfm, NullOrMismatchedSourceThrowsInEveryBuild) {
+  EXPECT_THROW(TrackingForecastMemory(tfm_config(), nullptr),
+               std::invalid_argument);
+  // A 9-bit source against 8-bit precision would compare draws of twice
+  // the estimate's scale.
+  EXPECT_THROW(
+      TrackingForecastMemory(tfm_config(), std::make_unique<rng::Lfsr>(9, 1)),
+      std::invalid_argument);
+  EXPECT_THROW(TfmPair(tfm_config(), aux(31), nullptr),
+               std::invalid_argument);
 }
 
 TEST(Tfm, ResetRestoresEstimateAndSource) {

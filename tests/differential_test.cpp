@@ -1,6 +1,6 @@
 /// Cross-backend differential fuzzer: random registry programs x random
 /// fault plans x odd lengths and chunk sizes, asserting bit-identity of
-/// the reference / kernel / engine backends (default-chunk and small-chunk
+/// the reference and engine backends (default-chunk and small-chunk
 /// pooled session) with and without ExecConfig::optimize.
 ///
 /// Reproducing a failure: every case logs its 64-bit case seed via
@@ -66,7 +66,6 @@ TEST(DifferentialFuzz, BackendsBitIdenticalUnderRandomFaultPlans) {
     engine::Session session({1 + static_cast<unsigned>(index % 2), chunk_bits,
                              case_seed});
     std::unique_ptr<ExecutorBackend> candidates[] = {
-        make_backend(BackendKind::kKernel),
         make_backend(BackendKind::kEngine),
         make_engine_backend(session),
     };

@@ -372,14 +372,14 @@ graph::ExecConfig job_config(const Session& session, std::size_t i) {
   return config;
 }
 
-graph::ExecutionResult run_kernel(const graph::Program& program,
+graph::ExecutionResult run_engine(const graph::Program& program,
                                   const graph::ProgramPlan& plan,
                                   const graph::ExecConfig& config) {
-  return graph::make_backend(graph::BackendKind::kKernel)
+  return graph::make_backend(graph::BackendKind::kEngine)
       ->run(program, plan, config);
 }
 
-/// `count` seeded kernel-backend runs fanned across the session's pool.
+/// `count` seeded engine-backend runs fanned across the session's pool.
 /// Each job is a pure function of its config, so results are ordered by
 /// job index and bit-identical for every thread count.
 std::vector<graph::ExecutionResult> run_batch(const graph::Program& program,
@@ -388,7 +388,7 @@ std::vector<graph::ExecutionResult> run_batch(const graph::Program& program,
                                               Session& session) {
   return session.map<graph::ExecutionResult>(
       count, [&program, &plan, &session](std::size_t i) {
-        return run_kernel(program, plan, job_config(session, i));
+        return run_engine(program, plan, job_config(session, i));
       });
 }
 
@@ -449,7 +449,7 @@ TEST(ExecuteBatch, MatchesSequentialExecute) {
   ASSERT_EQ(batched.size(), 10u);
   for (std::size_t j = 0; j < batched.size(); ++j) {
     const graph::ExecutionResult direct =
-        run_kernel(g, plan, job_config(session, j));
+        run_engine(g, plan, job_config(session, j));
     ASSERT_EQ(batched[j].streams.size(), direct.streams.size());
     for (std::size_t s = 0; s < direct.streams.size(); ++s) {
       EXPECT_EQ(batched[j].streams[s], direct.streams[s]);

@@ -104,7 +104,7 @@ TEST(EdgeFaults, StuckAtForcesTheEdgeAndItsConsumers) {
   stuck1.edges.push_back({"y", ErrorKind::kStuckAt1, 0.0});
   config.fault_plan = &stuck1;
   const ExecutionResult r1 =
-      graph::make_backend(BackendKind::kKernel)->run(p, plan, config);
+      graph::make_backend(BackendKind::kEngine)->run(p, plan, config);
   EXPECT_DOUBLE_EQ(r1.streams[p.find("y")].value(), 1.0);
   // max(x, 1) = 1: the OR consumer sees the stuck wire.
   EXPECT_DOUBLE_EQ(r1.values[0], 1.0);
@@ -113,7 +113,7 @@ TEST(EdgeFaults, StuckAtForcesTheEdgeAndItsConsumers) {
   stuck0.edges.push_back({"y", ErrorKind::kStuckAt0, 0.0});
   config.fault_plan = &stuck0;
   const ExecutionResult r0 =
-      graph::make_backend(BackendKind::kKernel)->run(p, plan, config);
+      graph::make_backend(BackendKind::kEngine)->run(p, plan, config);
   EXPECT_DOUBLE_EQ(r0.streams[p.find("y")].value(), 0.0);
   // max(x, 0) = x under SCC-agnostic OR with y = const 0.
   EXPECT_DOUBLE_EQ(r0.values[0], r0.streams[p.find("x")].value());
@@ -248,13 +248,13 @@ TEST(FsmCorruption, DisturbsTheOutputAndStaysBackendIdentical) {
 
   ExecConfig config;
   config.stream_length = 600;
-  const auto kernel = graph::make_backend(BackendKind::kKernel);
-  const ExecutionResult clean = kernel->run(p, plan, config);
+  const auto engine = graph::make_backend(BackendKind::kEngine);
+  const ExecutionResult clean = engine->run(p, plan, config);
 
   FaultPlan seu;
   seu.fsms.push_back({"out", /*first=*/300, /*period=*/0, /*lane=*/-1});
   config.fault_plan = &seu;
-  const ExecutionResult hit = kernel->run(p, plan, config);
+  const ExecutionResult hit = engine->run(p, plan, config);
 
   const NodeId out = p.outputs()[0];
   EXPECT_NE(clean.streams[out], hit.streams[out]);
@@ -263,8 +263,6 @@ TEST(FsmCorruption, DisturbsTheOutputAndStaysBackendIdentical) {
         << "corruption leaked backward to bit " << i;
   }
 
-  auto engine = graph::make_backend(BackendKind::kEngine);
-  EXPECT_TRUE(conforms(*kernel, p, plan, config));
   EXPECT_TRUE(conforms(*engine, p, plan, config));
 }
 
@@ -284,9 +282,7 @@ TEST(FsmCorruption, PeriodicAndLaneTargetedFaultsAgreeAcrossBackends) {
     ExecConfig config;
     config.stream_length = 500;
     config.fault_plan = &seu;
-    const auto kernel = graph::make_backend(BackendKind::kKernel);
     const auto engine = graph::make_backend(BackendKind::kEngine);
-    EXPECT_TRUE(conforms(*kernel, p, plan, config)) << "lane " << lane;
     EXPECT_TRUE(conforms(*engine, p, plan, config)) << "lane " << lane;
   }
 }
@@ -307,7 +303,7 @@ TEST(FsmCorruption, SharedCircuitSeuHitsEverySiblingConsumer) {
   const ProgramPlan plan = plan_program(p, Strategy::kManipulation);
   ASSERT_EQ(plan.inserted_units, 2u);
 
-  const auto kernel = graph::make_backend(BackendKind::kKernel);
+  const auto engine = graph::make_backend(BackendKind::kEngine);
   FaultPlan seu;
   seu.fsms.push_back({"diff", /*first=*/16, /*period=*/9, /*lane=*/-1});
   const NodeId diff = p.find("diff");
@@ -316,9 +312,9 @@ TEST(FsmCorruption, SharedCircuitSeuHitsEverySiblingConsumer) {
     ExecConfig config;
     config.stream_length = 512;
     config.optimize = optimize;
-    const ExecutionResult clean = kernel->run(p, plan, config);
+    const ExecutionResult clean = engine->run(p, plan, config);
     config.fault_plan = &seu;
-    const ExecutionResult hit = kernel->run(p, plan, config);
+    const ExecutionResult hit = engine->run(p, plan, config);
     EXPECT_NE(clean.streams[diff], hit.streams[diff]) << optimize;
     if (optimize) {
       EXPECT_NE(clean.streams[floor], hit.streams[floor])
@@ -327,7 +323,6 @@ TEST(FsmCorruption, SharedCircuitSeuHitsEverySiblingConsumer) {
       EXPECT_EQ(clean.streams[floor], hit.streams[floor])
           << "separate circuits: the wipe must stay local to 'diff'";
     }
-    const auto engine = graph::make_backend(BackendKind::kEngine);
     EXPECT_TRUE(conforms(*engine, p, plan, config)) << optimize;
   }
 }
@@ -350,21 +345,20 @@ TEST(Resolution, FaultsOnValuesTheOptimizerMergesAwayVanishIdentically) {
   ExecConfig config;
   config.stream_length = 256;
   config.optimize = true;
-  const auto kernel = graph::make_backend(BackendKind::kKernel);
-  const ExecutionResult clean = kernel->run(p, plan, config);
+  const auto engine = graph::make_backend(BackendKind::kEngine);
+  const ExecutionResult clean = engine->run(p, plan, config);
   config.fault_plan = &faults;
-  const ExecutionResult faulted = kernel->run(p, plan, config);
+  const ExecutionResult faulted = engine->run(p, plan, config);
   // The faulted wire does not exist in the optimized design: no effect,
   // and identically none on every backend.
   for (std::size_t s = 0; s < clean.streams.size(); ++s) {
     EXPECT_EQ(clean.streams[s], faulted.streams[s]) << "stream " << s;
   }
-  EXPECT_TRUE(conforms(*graph::make_backend(BackendKind::kEngine), p, plan,
-                       config));
+  EXPECT_TRUE(conforms(*engine, p, plan, config));
 
   // The survivor's own name still faults normally.
   faults.edges[0].edge = "keep";
-  const ExecutionResult survivor_hit = kernel->run(p, plan, config);
+  const ExecutionResult survivor_hit = engine->run(p, plan, config);
   EXPECT_NE(clean.streams[p.find("keep")],
             survivor_hit.streams[p.find("keep")]);
 }
@@ -420,10 +414,10 @@ class ChunkBoundaryFaults : public ::testing::Test {
 
       engine::Session session({1, kChunkBits, 0x5eed});
       const auto chunked = graph::make_engine_backend(session);
-      const auto kernel = graph::make_backend(BackendKind::kKernel);
+      const auto engine = graph::make_backend(BackendKind::kEngine);
       EXPECT_TRUE(conforms(*chunked, p, plan, config))
           << fix_label << ": " << c.label;
-      EXPECT_TRUE(conforms(*kernel, p, plan, config))
+      EXPECT_TRUE(conforms(*engine, p, plan, config))
           << fix_label << ": " << c.label;
     }
   }

@@ -17,55 +17,42 @@ struct GoldenEntry {
 
 inline constexpr GoldenEntry kGoldenCorpus[] = {
     {"multiply-decor", "reference", 0xB92A1FA276C61A2FULL},
-    {"multiply-decor", "kernel", 0xB92A1FA276C61A2FULL},
     {"multiply-decor", "engine", 0xB92A1FA276C61A2FULL},
     {"multiply-decor", "engine-chunked", 0xB92A1FA276C61A2FULL},
     {"max-resync", "reference", 0x8361C4FFACF81366ULL},
-    {"max-resync", "kernel", 0x8361C4FFACF81366ULL},
     {"max-resync", "engine", 0x8361C4FFACF81366ULL},
     {"max-resync", "engine-chunked", 0x8361C4FFACF81366ULL},
     {"satadd-desync", "reference", 0x1B9DF166219034C7ULL},
-    {"satadd-desync", "kernel", 0x1B9DF166219034C7ULL},
     {"satadd-desync", "engine", 0x1B9DF166219034C7ULL},
     {"satadd-desync", "engine-chunked", 0x1B9DF166219034C7ULL},
     {"bernstein-fan", "reference", 0x7FBF18D2819F2522ULL},
-    {"bernstein-fan", "kernel", 0x7FBF18D2819F2522ULL},
     {"bernstein-fan", "engine", 0x7FBF18D2819F2522ULL},
     {"bernstein-fan", "engine-chunked", 0x7FBF18D2819F2522ULL},
     {"divide-sync", "reference", 0x5351598998261CFEULL},
-    {"divide-sync", "kernel", 0x5351598998261CFEULL},
     {"divide-sync", "engine", 0x5351598998261CFEULL},
     {"divide-sync", "engine-chunked", 0x5351598998261CFEULL},
     {"regen-shared", "reference", 0xFA84AAC6EE1962F7ULL},
-    {"regen-shared", "kernel", 0xFA84AAC6EE1962F7ULL},
     {"regen-shared", "engine", 0xFA84AAC6EE1962F7ULL},
     {"regen-shared", "engine-chunked", 0xFA84AAC6EE1962F7ULL},
     {"faulted-mixed", "reference", 0x8B16076BFAAFD26CULL},
-    {"faulted-mixed", "kernel", 0x8B16076BFAAFD26CULL},
     {"faulted-mixed", "engine", 0x8B16076BFAAFD26CULL},
     {"faulted-mixed", "engine-chunked", 0x8B16076BFAAFD26CULL},
     {"optimized-chain", "reference", 0x66CC33AE53FD4AC0ULL},
-    {"optimized-chain", "kernel", 0x66CC33AE53FD4AC0ULL},
     {"optimized-chain", "engine", 0x66CC33AE53FD4AC0ULL},
     {"optimized-chain", "engine-chunked", 0x66CC33AE53FD4AC0ULL},
     {"precision-stanh", "reference", 0x288E76DE0EA7689AULL},
-    {"precision-stanh", "kernel", 0x288E76DE0EA7689AULL},
     {"precision-stanh", "engine", 0x288E76DE0EA7689AULL},
     {"precision-stanh", "engine-chunked", 0x288E76DE0EA7689AULL},
     {"saturation-or", "reference", 0x408F48D25CEBCBF4ULL},
-    {"saturation-or", "kernel", 0x408F48D25CEBCBF4ULL},
     {"saturation-or", "engine", 0x408F48D25CEBCBF4ULL},
     {"saturation-or", "engine-chunked", 0x408F48D25CEBCBF4ULL},
     {"corrbias-xor", "reference", 0xE6D898ED9D56AAA1ULL},
-    {"corrbias-xor", "kernel", 0xE6D898ED9D56AAA1ULL},
     {"corrbias-xor", "engine", 0xE6D898ED9D56AAA1ULL},
     {"corrbias-xor", "engine-chunked", 0xE6D898ED9D56AAA1ULL},
     {"shortstream-mul", "reference", 0x53A5DF2CE59CF7FFULL},
-    {"shortstream-mul", "kernel", 0x53A5DF2CE59CF7FFULL},
     {"shortstream-mul", "engine", 0x53A5DF2CE59CF7FFULL},
     {"shortstream-mul", "engine-chunked", 0x53A5DF2CE59CF7FFULL},
     {"chain-unrec", "reference", 0xC33DBF229545C306ULL},
-    {"chain-unrec", "kernel", 0xC33DBF229545C306ULL},
     {"chain-unrec", "engine", 0xC33DBF229545C306ULL},
     {"chain-unrec", "engine-chunked", 0xC33DBF229545C306ULL},
 };

@@ -1,7 +1,7 @@
 /// Seed-stability regression corpus: thirteen representative registry
 /// programs — every fix kind, a regeneration plan, a fault campaign, an
 /// optimizer chain rewrite, and one program per accuracy-analysis
-/// diagnostic id — executed on all four backend
+/// diagnostic id — executed on all three backend
 /// configurations and checksummed bit-for-bit against tests/golden/
 /// corpus.hpp.  A mismatch here with the differential suites green means
 /// every backend shifted *together*: exactly the failure mode of the PR 3
@@ -205,7 +205,6 @@ TEST(GoldenCorpus, BitLevelResultsMatchTheCommittedChecksums) {
       std::unique_ptr<graph::ExecutorBackend> backend;
     } backends[] = {
         {"reference", graph::make_backend(BackendKind::kReference)},
-        {"kernel", graph::make_backend(BackendKind::kKernel)},
         {"engine", graph::make_backend(BackendKind::kEngine)},
         {"engine-chunked", graph::make_engine_backend(session)},
     };
@@ -348,8 +347,8 @@ TEST(GoldenCorpus, TelemetryEnabledRunsKeepIdenticalChecksums) {
     } backends[] = {
         {"reference", graph::make_backend(BackendKind::kReference),
          graph::make_backend(BackendKind::kReference)},
-        {"kernel", graph::make_backend(BackendKind::kKernel),
-         graph::make_backend(BackendKind::kKernel)},
+        {"engine", graph::make_backend(BackendKind::kEngine),
+         graph::make_backend(BackendKind::kEngine)},
         {"engine-chunked", graph::make_engine_backend(bare_session),
          graph::make_engine_backend(traced_session)},
     };
@@ -390,8 +389,8 @@ TEST(GoldenCorpus, ProfiledRunsWithTinyRingKeepIdenticalChecksums) {
     } backends[] = {
         {"reference", graph::make_backend(BackendKind::kReference),
          graph::make_backend(BackendKind::kReference)},
-        {"kernel", graph::make_backend(BackendKind::kKernel),
-         graph::make_backend(BackendKind::kKernel)},
+        {"engine", graph::make_backend(BackendKind::kEngine),
+         graph::make_backend(BackendKind::kEngine)},
         {"engine-chunked", graph::make_engine_backend(bare_session),
          graph::make_engine_backend(profiled_session)},
     };

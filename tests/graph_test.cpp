@@ -56,10 +56,10 @@ Program edge_like_graph() {
   return g.build();
 }
 
-/// The default execution path: the kernel backend.
+/// The default execution path: the engine backend.
 ExecutionResult run(const Program& program, const ProgramPlan& plan,
                     const ExecConfig& config = {}) {
-  return make_backend(BackendKind::kKernel)->run(program, plan, config);
+  return make_backend(BackendKind::kEngine)->run(program, plan, config);
 }
 
 /// Fix planned for a two-operand op node (kNone if none).
@@ -514,8 +514,8 @@ TEST(Backends, OutOfRangeLfsrWidthThrowsInsteadOfCrashing) {
     EXPECT_THROW(rng::Lfsr(width, 1), std::invalid_argument) << width;
     ExecConfig config;
     config.width = width;
-    for (const BackendKind kind : {BackendKind::kReference,
-                                   BackendKind::kKernel, BackendKind::kEngine}) {
+    for (const BackendKind kind :
+         {BackendKind::kReference, BackendKind::kEngine}) {
       EXPECT_THROW(make_backend(kind)->run(program, plan, config),
                    std::invalid_argument)
           << "width " << width << " backend " << static_cast<int>(kind);
@@ -547,8 +547,8 @@ TEST(Backends, ZeroFixDepthThrowsInsteadOfMiscomputing) {
   ExecConfig no_shuffle;
   no_shuffle.shuffle_depth = 0;
   for (const ExecConfig& config : {no_sync, no_shuffle}) {
-    for (const BackendKind kind : {BackendKind::kReference,
-                                   BackendKind::kKernel, BackendKind::kEngine}) {
+    for (const BackendKind kind :
+         {BackendKind::kReference, BackendKind::kEngine}) {
       EXPECT_THROW(make_backend(kind)->run(program, plan, config),
                    std::invalid_argument)
           << "sync_depth " << config.sync_depth << " shuffle_depth "
@@ -584,7 +584,7 @@ TEST(Backends, ZeroFixDepthThrowsInsteadOfMiscomputing) {
                std::invalid_argument);
   ExecConfig optimized_no_sync = no_sync;
   optimized_no_sync.optimize = true;
-  EXPECT_THROW(make_backend(BackendKind::kKernel)
+  EXPECT_THROW(make_backend(BackendKind::kEngine)
                    ->run(program, plan, optimized_no_sync),
                std::invalid_argument);
 }

@@ -9,9 +9,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -435,9 +438,24 @@ TEST(ChunkedKernel, SingleStreamAuto) {
   ASSERT_EQ(core::apply(serial, input.stream()), fast_sink.stream());
 }
 
+// --- SIMD tier -------------------------------------------------------------
+
+// Names the dispatch tier this process runs (stdout and the XML report's
+// simd_tier property), so each SC_SIMD leg's log shows which tier was
+// actually tested; a forced tier must really be in effect.
+TEST(SimdTier, NamesTheActiveTier) {
+  const simd::Tier tier = simd::active_tier();
+  RecordProperty("simd_tier", simd::tier_name(tier));
+  std::printf("[ simd tier ] %s\n", simd::tier_name(tier));
+  const char* env = std::getenv("SC_SIMD");
+  const std::string forced = env == nullptr ? "" : env;
+  if (forced == "off") EXPECT_EQ(tier, simd::Tier::kScalar);
+  if (forced == "avx2") EXPECT_LE(tier, simd::Tier::kAvx2);
+}
+
 // --- graph executor --------------------------------------------------------
 
-TEST(ExecutorKernel, KernelBackendIsBitIdenticalToReference) {
+TEST(ExecutorKernel, EngineBackendIsBitIdenticalToReference) {
   using namespace sc::graph;
   GraphBuilder builder;
   const Value a = builder.input("a", 0.6, 0);
@@ -454,7 +472,7 @@ TEST(ExecutorKernel, KernelBackendIsBitIdenticalToReference) {
   config.stream_length = 4096;
 
   const ExecutionResult fast =
-      make_backend(BackendKind::kKernel)->run(g, plan, config);
+      make_backend(BackendKind::kEngine)->run(g, plan, config);
   const ExecutionResult ref =
       make_backend(BackendKind::kReference)->run(g, plan, config);
   ASSERT_EQ(fast.streams.size(), ref.streams.size());

@@ -319,9 +319,9 @@ TEST(Neutrality, AllBackendsBitIdenticalWithTelemetryAttached) {
   } backends[] = {
       {"reference", make_backend(BackendKind::kReference),
        make_backend(BackendKind::kReference)},
-      {"kernel", make_backend(BackendKind::kKernel),
-       make_backend(BackendKind::kKernel)},
-      {"engine", make_engine_backend(bare_session),
+      {"engine", make_backend(BackendKind::kEngine),
+       make_backend(BackendKind::kEngine)},
+      {"engine-session", make_engine_backend(bare_session),
        make_engine_backend(observed_session)},
   };
   for (const auto& entry : backends) {

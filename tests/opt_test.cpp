@@ -2,7 +2,7 @@
 /// pipeline's cost/safety gate, the five shipped passes, the chain-style
 /// decorrelator regression (k-1 circuits for a k-way same-source fan-out,
 /// with the pairwise k(k-1)/2 as the documented upper bound), statistical
-/// equivalence of optimized programs across all three backends, and exact
+/// equivalence of optimized programs across both backends, and exact
 /// bit-identity for the dedup-only pipeline.
 
 #include <gtest/gtest.h>
@@ -83,7 +83,7 @@ TEST(ChainDecorrelators, ChainedProgramStaysAccurateOnEveryBackend) {
   config.stream_length = 4096;
   ExecutionResult first;
   for (const BackendKind kind :
-       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+       {BackendKind::kReference, BackendKind::kEngine}) {
     const auto backend = make_backend(kind);
     const ExecutionResult chained =
         backend->run(optimized.program, optimized.plan, config);
@@ -147,7 +147,7 @@ TEST(Passes, CseNeverMergesOpsWhoseFixesDrawRng) {
 
   // And the bit-identity property holds end to end.
   ExecConfig config;
-  const auto backend = make_backend(BackendKind::kKernel);
+  const auto backend = make_backend(BackendKind::kEngine);
   const ExecutionResult plain = backend->run(p, plan, config);
   const ExecutionResult opt = backend->run(o.program, o.plan, config);
   for (NodeId id = 0; id < p.node_count(); ++id) {
@@ -212,7 +212,7 @@ TEST(Passes, CseStaysBitIdenticalWhenAMergeSatisfiesAPositivePair) {
 
   ExecConfig config;
   for (const BackendKind kind :
-       {BackendKind::kReference, BackendKind::kKernel, BackendKind::kEngine}) {
+       {BackendKind::kReference, BackendKind::kEngine}) {
     const auto backend = make_backend(kind);
     const ExecutionResult plain = backend->run(p, plan, config);
     const ExecutionResult opt = backend->run(o.program, o.plan, config);
@@ -315,7 +315,7 @@ TEST(Passes, CorrectionSharingChargesSiblingSynchronizersOnce) {
   // Sharing is an accounting rewrite: execution is bit-identical to the
   // unshared plan (the mirrored FSM is deterministic on the same inputs).
   ExecConfig config;
-  const auto backend = make_backend(BackendKind::kKernel);
+  const auto backend = make_backend(BackendKind::kEngine);
   const ExecutionResult unshared = backend->run(p, plan, config);
   const ExecutionResult with_sharing = backend->run(o.program, o.plan, config);
   ASSERT_EQ(unshared.streams.size(), with_sharing.streams.size());
@@ -363,9 +363,8 @@ TEST(OptEquivalence, DedupOnlyPipelineIsBitIdenticalOnRandomPrograms) {
       ExecConfig config;
       config.stream_length = 300;
       config.seed = static_cast<std::uint32_t>(11 + seed);
-      for (const BackendKind kind : {BackendKind::kReference,
-                                     BackendKind::kKernel,
-                                     BackendKind::kEngine}) {
+      for (const BackendKind kind :
+           {BackendKind::kReference, BackendKind::kEngine}) {
         const auto backend = make_backend(kind);
         const ExecutionResult plain = backend->run(p, plan, config);
         const ExecutionResult opt =
@@ -390,7 +389,7 @@ TEST(OptEquivalence, DedupOnlyPipelineIsBitIdenticalOnRandomPrograms) {
 
 TEST(OptEquivalence, FullPipelineIsStatisticallyEquivalentOnRandomPrograms) {
   // The full pipeline may reseed (fold, chain), so optimized streams can
-  // differ — but exact semantics are preserved, all three backends stay
+  // differ — but exact semantics are preserved, both backends stay
   // bit-identical to each other, and accuracy does not degrade beyond
   // sampling noise.
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
@@ -418,20 +417,15 @@ TEST(OptEquivalence, FullPipelineIsStatisticallyEquivalentOnRandomPrograms) {
     EXPECT_LT(opt.mean_abs_error, plain.mean_abs_error + 0.05) << label;
 
     // ExecConfig::optimize front: every backend optimizes identically.
-    for (const BackendKind kind :
-         {BackendKind::kKernel, BackendKind::kEngine}) {
-      const ExecutionResult other = make_backend(kind)->run(p, plan,
-                                                            optimizing);
-      ASSERT_EQ(other.values.size(), opt.values.size()) << label;
-      for (std::size_t i = 0; i < opt.values.size(); ++i) {
-        EXPECT_DOUBLE_EQ(other.values[i], opt.values[i])
-            << label << " backend " << static_cast<int>(kind);
-      }
-      ASSERT_EQ(other.streams.size(), opt.streams.size()) << label;
-      for (std::size_t s = 0; s < opt.streams.size(); ++s) {
-        EXPECT_EQ(other.streams[s], opt.streams[s])
-            << label << " stream " << s;
-      }
+    const ExecutionResult other =
+        make_backend(BackendKind::kEngine)->run(p, plan, optimizing);
+    ASSERT_EQ(other.values.size(), opt.values.size()) << label;
+    for (std::size_t i = 0; i < opt.values.size(); ++i) {
+      EXPECT_DOUBLE_EQ(other.values[i], opt.values[i]) << label;
+    }
+    ASSERT_EQ(other.streams.size(), opt.streams.size()) << label;
+    for (std::size_t s = 0; s < opt.streams.size(); ++s) {
+      EXPECT_EQ(other.streams[s], opt.streams[s]) << label << " stream " << s;
     }
   }
 }
@@ -450,7 +444,7 @@ TEST(OptEquivalence, ExecConfigOptimizeMapsStreamsBackToCallerIds) {
   ExecConfig optimizing;
   optimizing.optimize = true;
   const ExecutionResult r =
-      make_backend(BackendKind::kKernel)->run(p, plan, optimizing);
+      make_backend(BackendKind::kEngine)->run(p, plan, optimizing);
   // Streams come back on the caller's ids: the duplicate aliases the
   // survivor, the dead input is empty, outputs keep their original ids.
   ASSERT_EQ(r.streams.size(), p.node_count());
@@ -461,7 +455,7 @@ TEST(OptEquivalence, ExecConfigOptimizeMapsStreamsBackToCallerIds) {
   EXPECT_EQ(r.output_nodes[0], p.outputs()[0]);
 
   const ExecutionResult plain =
-      make_backend(BackendKind::kKernel)->run(p, plan, {});
+      make_backend(BackendKind::kEngine)->run(p, plan, {});
   EXPECT_DOUBLE_EQ(r.values[0], plain.values[0]);
 }
 

@@ -256,6 +256,37 @@ INSTANTIATE_TEST_SUITE_P(Dims, SobolDimension,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u,
                                            10u, 11u, 12u));
 
+// --- parameter validation ----------------------------------------------------
+
+TEST(SourceValidation, OutOfRangeParametersThrowInEveryBuild) {
+  // Asserts vanish in Release: Sobol's dimension 13 would read past its
+  // direction-number table, Halton's base 1 would loop forever from the
+  // second draw and base 0 divide by zero.
+  for (const unsigned width : {0u, 33u}) {
+    EXPECT_THROW(Sobol{width}, std::invalid_argument) << width;
+    EXPECT_THROW(VanDerCorput{width}, std::invalid_argument) << width;
+  }
+  EXPECT_THROW(Sobol(8, 0), std::invalid_argument);
+  EXPECT_THROW(Sobol(8, Sobol::kMaxDimension + 1), std::invalid_argument);
+  EXPECT_NO_THROW(Sobol(32, Sobol::kMaxDimension));
+  for (const unsigned width : {0u, 32u}) {
+    EXPECT_THROW(Halton{width}, std::invalid_argument) << width;
+  }
+  EXPECT_THROW(Halton(8, 0), std::invalid_argument);
+  EXPECT_THROW(Halton(8, 1), std::invalid_argument);
+  EXPECT_NO_THROW(Halton(31, 2));
+
+  // The factory reaches the same checks.
+  RngSpec halton;
+  halton.kind = RngKind::kHalton;
+  halton.base = 1;
+  EXPECT_THROW(make_rng(halton), std::invalid_argument);
+  RngSpec sobol;
+  sobol.kind = RngKind::kSobol;
+  sobol.dimension = Sobol::kMaxDimension + 1;
+  EXPECT_THROW(make_rng(sobol), std::invalid_argument);
+}
+
 // --- Counter / MT -------------------------------------------------------------
 
 TEST(CounterSource, WrapsAtRange) {
