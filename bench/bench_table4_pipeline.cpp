@@ -3,7 +3,9 @@
 /// the floating-point reference.  Reports area, energy per frame, and mean
 /// absolute image error for each design on a synthetic benchmark scene
 /// (the paper's claims are relative to the float pipeline on the same
-/// image, so scene content only needs realistic structure).
+/// image, so scene content only needs realistic structure).  Exits 1 when
+/// a Table IV ordering breaks: no-manipulation error above both manipulated
+/// variants, synchronizer energy per frame below regeneration's.
 
 #include <cstdio>
 #include <cstdlib>
@@ -89,5 +91,23 @@ int main(int argc, char** argv) {
   std::printf(
       "\nImage results written to /tmp/scorr_{input,float,none,regen,sync}"
       ".pgm\n");
-  return 0;
+
+  // The Table IV orderings this reproduction stands on; a smoke run fails
+  // when the simulated pipeline stops showing them.
+  int status = 0;
+  if (!(none.error > regen.error && none.error > sync.error)) {
+    std::fprintf(stderr,
+                 "FAIL: no-manipulation error %.4f must exceed regeneration "
+                 "%.4f and synchronizer %.4f\n",
+                 none.error, regen.error, sync.error);
+    status = 1;
+  }
+  if (!(sync.cost.energy_nj_frame < regen.cost.energy_nj_frame)) {
+    std::fprintf(stderr,
+                 "FAIL: synchronizer energy %.1f nJ/frame must be below "
+                 "regeneration %.1f\n",
+                 sync.cost.energy_nj_frame, regen.cost.energy_nj_frame);
+    status = 1;
+  }
+  return status;
 }

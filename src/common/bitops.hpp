@@ -27,7 +27,7 @@ inline int popcount32(std::uint32_t w) noexcept {
 
 /// Number of bits needed to represent w (std::bit_width is C++20-only).
 /// bit_width(0) == 0, bit_width(5) == 3.
-inline unsigned bit_width64(std::uint64_t w) noexcept {
+constexpr unsigned bit_width64(std::uint64_t w) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
   return w == 0 ? 0u : 64u - static_cast<unsigned>(__builtin_clzll(w));
 #else

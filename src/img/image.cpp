@@ -1,11 +1,11 @@
 #include "img/image.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 
 namespace sc::img {
 
@@ -38,7 +38,9 @@ Image Image::gradient(std::size_t width, std::size_t height) {
 
 Image Image::checkerboard(std::size_t width, std::size_t height,
                           std::size_t cell) {
-  assert(cell >= 1);
+  if (cell == 0) {
+    throw std::invalid_argument("Image::checkerboard: cell must be >= 1");
+  }
   Image out(width, height);
   for (std::size_t y = 0; y < height; ++y) {
     for (std::size_t x = 0; x < width; ++x) {
@@ -170,8 +172,21 @@ bool Image::save_pgm(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
+namespace {
+
+/// The error metrics walk both pixel buffers in step; a size mismatch
+/// would read past the smaller one.
+void require_same_size(const Image& a, const Image& b, const char* who) {
+  if (a.width() != b.width() || a.height() != b.height()) {
+    throw std::invalid_argument(std::string(who) +
+                                ": images must have identical dimensions");
+  }
+}
+
+}  // namespace
+
 double mean_abs_error(const Image& a, const Image& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
+  require_same_size(a, b, "mean_abs_error");
   if (a.empty()) return 0.0;
   double sum = 0.0;
   for (std::size_t i = 0; i < a.pixels().size(); ++i) {
@@ -181,7 +196,7 @@ double mean_abs_error(const Image& a, const Image& b) {
 }
 
 double max_abs_error(const Image& a, const Image& b) {
-  assert(a.width() == b.width() && a.height() == b.height());
+  require_same_size(a, b, "max_abs_error");
   double worst = 0.0;
   for (std::size_t i = 0; i < a.pixels().size(); ++i) {
     worst = std::max(worst, std::abs(a.pixels()[i] - b.pixels()[i]));

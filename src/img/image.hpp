@@ -48,7 +48,8 @@ class Image {
 
   /// Smooth diagonal gradient.
   static Image gradient(std::size_t width, std::size_t height);
-  /// Checkerboard with `cell`-pixel squares (hard edges).
+  /// Checkerboard with `cell`-pixel squares (hard edges).  Throws
+  /// std::invalid_argument for cell 0.
   static Image checkerboard(std::size_t width, std::size_t height,
                             std::size_t cell);
   /// Sum of randomly placed Gaussian blobs (smooth structure), seeded.
@@ -73,10 +74,10 @@ class Image {
 };
 
 /// Mean absolute per-pixel difference (the paper's image "Abs. Error").
-/// Images must have identical dimensions.
+/// Throws std::invalid_argument unless the images have identical dimensions.
 double mean_abs_error(const Image& a, const Image& b);
 
-/// Largest absolute per-pixel difference.
+/// Largest absolute per-pixel difference (same size check).
 double max_abs_error(const Image& a, const Image& b);
 
 }  // namespace sc::img

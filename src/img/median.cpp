@@ -1,6 +1,6 @@
 #include "img/median.hpp"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "arith/gates.hpp"
 #include "bitstream/encoding.hpp"
@@ -39,7 +39,9 @@ Bitstream sc_median9(const std::array<Bitstream, 9>& window,
 }
 
 Image sc_median_filter(const Image& input, const MedianConfig& config) {
-  assert(!input.empty());
+  if (input.empty()) {
+    throw std::invalid_argument("sc_median_filter: input image is empty");
+  }
   const std::size_t n = config.stream_length;
   const auto natural = static_cast<std::uint32_t>(1u << config.sng_width);
 

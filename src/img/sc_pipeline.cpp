@@ -1,15 +1,13 @@
 #include "img/sc_pipeline.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cmath>
-#include <memory>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
 #include "bitstream/encoding.hpp"
-#include "common/bitops.hpp"
 #include "common/simd.hpp"
 #include "convert/regenerator.hpp"
 #include "engine/batch.hpp"
@@ -45,8 +43,10 @@ struct Generators {
 /// Rejects configurations the tile engine cannot simulate.  These are
 /// exceptions, not asserts: in a Release build a zero bank count or tile
 /// side divides by zero, and a width outside 4..31 either biases the
-/// blur's 16-slot select decode or overflows the 2^w natural length.
-void validate(const Image& input, const PipelineConfig& config) {
+/// blur's 16-slot select decode or overflows the 2^w natural length.  The
+/// synchronizer variant's depth must fit kernel::sync_xor_planes.
+void validate(const Image& input, Variant variant,
+              const PipelineConfig& config) {
   const auto reject = [](const char* what) {
     throw std::invalid_argument(std::string("img pipeline: ") + what);
   };
@@ -57,20 +57,11 @@ void validate(const Image& input, const PipelineConfig& config) {
   if (config.sng_width < 4 || config.sng_width > 31) {
     reject("sng_width must be in 4..31");
   }
-}
-
-/// The synchronizer variant's shared transition table (fetched once per
-/// run, so no tile or pixel pair touches the kernel layer's cache); null
-/// for the other variants.
-std::shared_ptr<const kernel::PairNibbleTable> sync_table(
-    Variant variant, const PipelineConfig& config) {
-  if (variant != Variant::kSynchronizer) return nullptr;
-  auto table = kernel::synchronizer_table(config.sync_depth);
-  if (!table) {
-    throw std::invalid_argument(
-        "img pipeline: sync_depth must be in 1..2047");
+  if (variant == Variant::kSynchronizer &&
+      (config.sync_depth < 1 ||
+       config.sync_depth > kernel::kMaxSyncXorDepth)) {
+    reject("sync_depth must be in 1..2047");
   }
-  return table;
 }
 
 /// Simulates one output tile over packed words, writing its pixels into
@@ -78,12 +69,10 @@ std::shared_ptr<const kernel::PairNibbleTable> sync_table(
 /// a hardware tile engine's would (every word-API draw leaves a register
 /// where the same number of per-cycle steps would); the caller decides
 /// whether generators free-run across tiles (serial engine) or are freshly
-/// seeded per tile (tile-engine array).  `synchronizers` is non-null iff
-/// the variant is kSynchronizer.
+/// seeded per tile (tile-engine array).
 void process_tile(const Image& input, Variant variant,
-                  const PipelineConfig& config,
-                  const kernel::PairNibbleTable* synchronizers, std::size_t tx,
-                  std::size_t ty, Generators& gen, Image& output) {
+                  const PipelineConfig& config, std::size_t tx, std::size_t ty,
+                  Generators& gen, Image& output) {
   const std::size_t n = config.stream_length;
   const std::size_t words = (n + 63) / 64;
   const std::size_t t = config.tile;
@@ -144,44 +133,76 @@ void process_tile(const Image& input, Variant variant,
                                        gb_side * gb_side, n, gen.regen);
   }
 
-  // --- edge detection ------------------------------------------------
+  // --- edge detection: bit-sliced synchronized XOR -------------------
+  // The blur streams are transposed into cycle-major planes P (bit
+  // gy * gb_side + gx of plane c = unit (gx, gy)'s cycle-c bit), so the
+  // lane of unit (x, y) meets its diagonal partners at fixed lane offsets:
+  // |a - d| pairs P with P >> (t + 2), |b - c| pairs P >> 1 with
+  // P >> (t + 1).  Every pair runs through a fresh synchronizer and an
+  // XOR (depth 0, a plain XOR, for the other variants), all lanes one
+  // cycle per word operation, as the tile engine's units step together.
   std::vector<Word> ed_sel(words);
   gen.ed_select.fill_compare(ed_sel.data(), n, natural / 2);
-  // g1/g2 hold the two gradient streams; in the synchronizer variant each
-  // XOR pair first runs through a fresh synchronizer (state index = depth,
-  // i.e. zero credit) in the g and partner buffers.
-  std::vector<Word> scratch(3 * words);
-  Word* g1 = scratch.data();
-  Word* g2 = g1 + words;
-  Word* partner = g2 + words;
-  const auto gradient = [&](const Word* p, const Word* q, Word* g) {
-    if (synchronizers != nullptr) {
-      std::copy_n(p, words, g);
-      std::copy_n(q, words, partner);
-      kernel::run_pair_table(*synchronizers, config.sync_depth, g, partner, n);
-      p = g;
-      q = partner;
+  const std::size_t units = gb_side * gb_side;
+  const std::size_t lanes = (units + 63) / 64;  // words per plane
+  const std::size_t span = n * lanes;           // words of n planes
+  // P in whole 64-cycle blocks, plus the words a shift reads past them.
+  std::vector<Word> blur_planes(words * 64 * lanes + (t + 2) / 64 + 1);
+  std::vector<Word> diagonals(3 * span);
+  const Word* a = blur_planes.data();  // P
+  Word* d = diagonals.data();          // P >> (t + 2), then |a - d|
+  Word* b = d + span;                  // P >> 1
+  Word* c = b + span;                  // P >> (t + 1), then |b - c|
+  std::array<Word, 64> block{};
+  for (std::size_t g = 0; g < lanes; ++g) {
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::size_t j = 0; j < 64; ++j) {
+        const std::size_t unit = g * 64 + j;
+        block[j] = unit < units ? gb_words[unit * words + w] : Word{0};
+      }
+      kernel::transpose64(block.data());
+      for (std::size_t k = 0; k < 64; ++k) {
+        blur_planes[(w * 64 + k) * lanes + g] = block[k];
+      }
     }
-    for (std::size_t w = 0; w < words; ++w) g[w] = p[w] ^ q[w];
+  }
+  // P >> s (lane l takes lane l + s) over all n planes at once.  A word
+  // read past the end of a plane comes from the next one; it only reaches
+  // lanes with l + s >= 64 * lanes >= units, while an output lane has
+  // l + s <= units - 1.
+  const auto shift_lanes = [&](std::size_t s, Word* out) {
+    const Word* p = a + s / 64;
+    const unsigned r = s % 64;
+    for (std::size_t i = 0; i < span; ++i) {
+      // (v << 1) << (63 - r) is v << (64 - r), and 0 when r is 0.
+      out[i] = (p[i] >> r) | ((p[i + 1] << 1) << (63 - r));
+    }
   };
-  const auto gb = [&](std::size_t x, std::size_t y) {
-    return gb_words.data() + (y * gb_side + x) * words;
-  };
+  shift_lanes(t + 2, d);
+  shift_lanes(1, b);
+  shift_lanes(t + 1, c);
+  const unsigned depth =
+      variant == Variant::kSynchronizer ? config.sync_depth : 0;
+  kernel::sync_xor_planes(depth, a, d, d, lanes, n);
+  kernel::sync_xor_planes(depth, b, c, c, lanes, n);
+
+  // MUX scaled add (select picks |b - c|) into d, counted per lane by the
+  // S/D converters.
+  for (std::size_t k = 0; k < n; ++k) {
+    const Word sel = Word{0} - ((ed_sel[k / 64] >> (k % 64)) & 1u);
+    for (std::size_t i = k * lanes; i < (k + 1) * lanes; ++i) {
+      d[i] = (sel & c[i]) | (~sel & d[i]);
+    }
+  }
+  std::vector<std::uint64_t> ones(lanes * 64);
+  kernel::count_lanes(d, lanes, n, ones.data());
   for (std::size_t y = 0; y < t; ++y) {
     for (std::size_t x = 0; x < t; ++x) {
       const std::size_t ox = tx * t + x;
       const std::size_t oy = ty * t + y;
       if (ox >= input.width() || oy >= input.height()) continue;
-
-      gradient(gb(x, y), gb(x + 1, y + 1), g1);  // |a - d|
-      gradient(gb(x + 1, y), gb(x, y + 1), g2);  // |b - c|
-      // MUX scaled add (select picks g2), counted by the S/D converter.
-      std::size_t ones = 0;
-      for (std::size_t w = 0; w < words; ++w) {
-        ones += static_cast<std::size_t>(
-            popcount64((ed_sel[w] & g2[w]) | (~ed_sel[w] & g1[w])));
-      }
-      output.at(ox, oy) = static_cast<double>(ones) / static_cast<double>(n);
+      output.at(ox, oy) = static_cast<double>(ones[y * gb_side + x]) /
+                          static_cast<double>(n);
     }
   }
 }
@@ -298,8 +319,7 @@ hw::Netlist pipeline_overhead_netlist(Variant variant,
 
 PipelineResult run_pipeline(const Image& input, Variant variant,
                             const PipelineConfig& config) {
-  validate(input, config);
-  const auto synchronizers = sync_table(variant, config);
+  validate(input, variant, config);
   const std::size_t t = config.tile;
 
   PipelineResult result;
@@ -315,8 +335,7 @@ PipelineResult run_pipeline(const Image& input, Variant variant,
 
   for (std::size_t ty = 0; ty < tiles_y; ++ty) {
     for (std::size_t tx = 0; tx < tiles_x; ++tx) {
-      process_tile(input, variant, config, synchronizers.get(), tx, ty, gen,
-                   result.output);
+      process_tile(input, variant, config, tx, ty, gen, result.output);
     }
   }
 
@@ -328,8 +347,7 @@ PipelineResult run_pipeline(const Image& input, Variant variant,
 PipelineResult run_pipeline_tiled(const Image& input, Variant variant,
                                   const PipelineConfig& config,
                                   engine::Session& session) {
-  validate(input, config);
-  const auto synchronizers = sync_table(variant, config);
+  validate(input, variant, config);
   const std::size_t t = config.tile;
 
   PipelineResult result;
@@ -352,9 +370,8 @@ PipelineResult run_pipeline_tiled(const Image& input, Variant variant,
     // mask them down to sng_width bits.
     tile_config.seed = engine::strided_seed32(config.seed, tile_index);
     Generators gen(tile_config);
-    process_tile(input, variant, tile_config, synchronizers.get(),
-                 tile_index % tiles_x, tile_index / tiles_x, gen,
-                 result.output);
+    process_tile(input, variant, tile_config, tile_index % tiles_x,
+                 tile_index / tiles_x, gen, result.output);
   });
 
   result.error = mean_abs_error(result.output, result.reference);

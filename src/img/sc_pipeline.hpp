@@ -24,6 +24,15 @@
 ///  3. kSynchronizer   - a synchronizer in front of each XOR pair
 ///     (accurate, ~2x more manipulator instances than regeneration uses
 ///     converters, but each is far cheaper - the paper's headline win).
+///
+/// Simulation: input SNGs, blur and regeneration run stream-major, 64
+/// cycles per word operation.  Edge detection runs bit-sliced, like the
+/// hardware's units stepping together: the blur outputs are transposed
+/// into cycle-major planes (one bit per blur unit), every Roberts pair of
+/// the tile goes through kernel::sync_xor_planes at once (a synchronizer
+/// followed by XOR is a saturating up/down counter's clip event; depth 0
+/// is the plain XOR of the other variants), and kernel::count_lanes is the
+/// S/D converters.  One path serves all three variants.
 
 #pragma once
 
@@ -85,11 +94,14 @@ struct PipelineResult {
 
 /// Simulates the accelerator on `input` and accounts its hardware cost
 /// (paper Table IV row for the given variant).  The simulation is
-/// word-parallel — 64 cycles per word operation, synchronizers through the
-/// kernel layer's nibble table — and produces exactly the bits of the
-/// cycle-level circuit.  Throws std::invalid_argument for an empty image,
-/// stream_length, tile or input_banks of 0, sng_width outside 4..31, or
-/// (synchronizer variant) sync_depth outside 1..2047.
+/// word-parallel — 64 cycles per word operation up to the blur, 64 units
+/// per word operation in the bit-sliced edge detection — and produces
+/// exactly the bits of the cycle-level circuit.  Throws
+/// std::invalid_argument for an empty image, stream_length, tile or
+/// input_banks of 0, sng_width outside 4..31, or (synchronizer variant)
+/// sync_depth outside 1..2047.  The depth cap is kernel::kMaxSyncXorDepth:
+/// it keeps the accepted configurations what they have always been and
+/// bounds each synchronizer's counter at 12 bit planes.
 PipelineResult run_pipeline(const Image& input, Variant variant,
                             const PipelineConfig& config = {});
 

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "bitstream/bitstream.hpp"
@@ -53,7 +53,9 @@ Image sobel_reference(const Image& input) {
 }
 
 SobelResult run_sc_sobel(const Image& input, const SobelConfig& config) {
-  assert(!input.empty());
+  if (input.empty()) {
+    throw std::invalid_argument("run_sc_sobel: input image is empty");
+  }
   const std::size_t n = config.stream_length;
   const auto natural = static_cast<std::uint32_t>(1u << config.sng_width);
 

@@ -45,7 +45,8 @@ struct SobelResult {
   hw::Netlist manipulators;    ///< inserted manipulation hardware per pixel
 };
 
-/// Runs the SC Sobel detector over the image.
+/// Runs the SC Sobel detector over the image.  Throws std::invalid_argument
+/// for an empty image.
 SobelResult run_sc_sobel(const Image& input, const SobelConfig& config = {});
 
 }  // namespace sc::img

@@ -1,12 +1,15 @@
 #include "kernel/kernels.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
+#include "common/bitops.hpp"
 #include "common/simd.hpp"
 #include "core/decorrelator.hpp"
 #include "core/desynchronizer.hpp"
@@ -57,8 +60,10 @@ std::shared_ptr<const Value> cached(
   return value;
 }
 
-}  // namespace
-
+/// The (state, 4 input bit-pairs) transition table of a depth-`depth`
+/// synchronizer (core::Synchronizer::transition, no flush), built on first
+/// request; state index = credit + depth.  nullptr for depth 0 or above
+/// the table cap (2047).
 std::shared_ptr<const PairNibbleTable> synchronizer_table(unsigned depth) {
   // State count computed in 64 bits: a wrapped count would pass the cap
   // check and build an undersized table (out-of-bounds lookups later).
@@ -79,8 +84,6 @@ std::shared_ptr<const PairNibbleTable> synchronizer_table(unsigned depth) {
         }));
   });
 }
-
-namespace {
 
 std::shared_ptr<const PairNibbleTable> desynchronizer_table(unsigned depth) {
   // State index = ((saved_x * (depth + 1) + saved_y) << 1) | save_from_x.
@@ -144,10 +147,11 @@ std::shared_ptr<const std::vector<std::uint64_t>> tfm_jump_table(
   });
 }
 
-}  // namespace
-
 // ----------------------------------------------------- nibble-table driver
 
+/// Advances `bits` cycles of both packed streams in place through a
+/// nibble table from state index `state`; returns the successor state.
+/// Bits at positions >= `bits` in the final word are preserved.
 unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
                         Word* xw, Word* yw, std::size_t bits) {
   std::size_t w = 0;
@@ -195,8 +199,6 @@ unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
   }
   return state;
 }
-
-namespace {
 
 // -------------------------------------------- synchronizer / desynchronizer
 
@@ -550,7 +552,146 @@ class ChainLinkPairKernel final : public PairKernel {
   std::unique_ptr<StreamKernel> shuffle_;
 };
 
+// ---------------------------------------------------- synchronized XOR
+
+/// One step of transpose64: swaps the off-diagonal J x J sub-blocks of
+/// every 2J x 2J block; `Low` selects the low J bits of each 2J-bit group.
+/// A compile-time J unrolls the loops, about twice as fast as a runtime
+/// stage loop.
+template <unsigned J, Word Low>
+void transpose_stage(Word* block) {
+  for (unsigned base = 0; base < 64; base += 2 * J) {
+    for (unsigned k = base; k < base + J; ++k) {
+      const Word t = ((block[k] >> J) ^ block[k + J]) & Low;
+      block[k] ^= t << J;
+      block[k + J] ^= t;
+    }
+  }
+}
+
+/// sync_xor_planes with the counter's plane count fixed at compile time,
+/// so the state planes of a lane word stay in registers across cycles.
+template <unsigned Planes>
+void sync_xor_lanes(unsigned depth, const Word* x, const Word* y, Word* out,
+                    std::size_t lane_words, std::size_t cycles) {
+  // at_top ANDs every plane, inverted where 2 * depth has a 0 bit.
+  std::array<Word, Planes> top_flip{};
+  std::array<Word, Planes> fresh{};
+  for (unsigned b = 0; b < Planes; ++b) {
+    top_flip[b] = ((2 * depth) >> b & 1u) != 0 ? Word{0} : ~Word{0};
+    fresh[b] = (depth >> b & 1u) != 0 ? ~Word{0} : Word{0};
+  }
+  for (std::size_t g = 0; g < lane_words; ++g) {
+    std::array<Word, Planes> s = fresh;  // s = depth: zero credit
+    for (std::size_t c = 0, i = g; c < cycles; ++c, i += lane_words) {
+      const Word xi = x[i];
+      const Word yi = y[i];
+      const Word down = ~xi & yi;
+      Word at_top = ~Word{0};
+      Word at_bottom = ~Word{0};
+      for (unsigned b = 0; b < Planes; ++b) {
+        at_top &= s[b] ^ top_flip[b];
+        at_bottom &= ~s[b];
+      }
+      const Word clip = (xi & ~yi & at_top) | (down & at_bottom);
+      // Ripple +1 (x & ~y) or -1 (~x & y) through the unclipped lanes: an
+      // increment carries past a 1 bit, a decrement borrows past a 0 bit.
+      Word carry = (xi ^ yi) & ~clip;
+      for (unsigned b = 0; b < Planes; ++b) {
+        const Word old = s[b];
+        s[b] = old ^ carry;
+        carry &= old ^ down;
+      }
+      out[i] = clip;
+    }
+  }
+}
+
+using SyncXorFn = void (*)(unsigned, const Word*, const Word*, Word*,
+                           std::size_t, std::size_t);
+
+template <unsigned... Planes>
+constexpr std::array<SyncXorFn, sizeof...(Planes)> sync_xor_table(
+    std::integer_sequence<unsigned, Planes...>) {
+  return {&sync_xor_lanes<Planes>...};
+}
+
+constexpr auto kSyncXorByPlanes = sync_xor_table(
+    std::make_integer_sequence<unsigned,
+                               bit_width64(2 * kMaxSyncXorDepth) + 1>{});
+
 }  // namespace
+
+void transpose64(Word block[64]) {
+  transpose_stage<32, 0x00000000FFFFFFFFull>(block);
+  transpose_stage<16, 0x0000FFFF0000FFFFull>(block);
+  transpose_stage<8, 0x00FF00FF00FF00FFull>(block);
+  transpose_stage<4, 0x0F0F0F0F0F0F0F0Full>(block);
+  transpose_stage<2, 0x3333333333333333ull>(block);
+  transpose_stage<1, 0x5555555555555555ull>(block);
+}
+
+void sync_xor_planes(unsigned depth, const Word* x, const Word* y, Word* out,
+                     std::size_t lane_words, std::size_t cycles) {
+  if (depth > kMaxSyncXorDepth) {
+    throw std::invalid_argument("sync_xor_planes: depth must be <= 2047");
+  }
+  // s = credit + depth spans [0, 2 * depth].
+  kSyncXorByPlanes[bit_width64(2 * std::uint64_t{depth})](
+      depth, x, y, out, lane_words, cycles);
+}
+
+void count_lanes(const Word* planes, std::size_t lane_words,
+                 std::size_t cycles, std::uint64_t* counts) {
+  // Carry-save add: low + b + c == 2 * (returned carries) + low'.
+  const auto csa = [](Word& low, Word b, Word c) {
+    const Word u = low ^ b;
+    const Word high = (low & b) | (u & c);
+    low = u ^ c;
+    return high;
+  };
+  for (std::size_t g = 0; g < lane_words; ++g) {
+    // sum[b] = bit b of every lane's count.  sum[0..3] are the tree's
+    // ones/twos/fours/eights; the sixteens ripple into sum[4..].
+    std::array<Word, 64> sum{};
+    const auto add16 = [&](const Word* p, std::size_t stride) {
+      const auto pair = [&](std::size_t i) {
+        return csa(sum[0], p[i * stride], p[(i + 1) * stride]);
+      };
+      const auto quad = [&](std::size_t i) {
+        const Word lo = pair(i);
+        const Word hi = pair(i + 2);
+        return csa(sum[1], lo, hi);
+      };
+      const auto oct = [&](std::size_t i) {
+        const Word lo = quad(i);
+        const Word hi = quad(i + 4);
+        return csa(sum[2], lo, hi);
+      };
+      const Word lo = oct(0);
+      const Word hi = oct(8);
+      Word carry = csa(sum[3], lo, hi);
+      for (unsigned b = 4; carry != 0; ++b) {
+        const Word next = sum[b] & carry;
+        sum[b] ^= carry;
+        carry = next;
+      }
+    };
+    std::size_t c = 0;
+    for (; c + 16 <= cycles; c += 16) {
+      add16(planes + c * lane_words + g, lane_words);
+    }
+    if (c < cycles) {
+      std::array<Word, 16> tail{};
+      for (std::size_t i = 0; c + i < cycles; ++i) {
+        tail[i] = planes[(c + i) * lane_words + g];
+      }
+      add16(tail.data(), 1);
+    }
+    transpose64(sum.data());  // now sum[j] = lane j's count
+    std::copy(sum.begin(), sum.end(), counts + g * 64);
+  }
+}
 
 // ------------------------------------------------------------------ factory
 

@@ -22,6 +22,10 @@
 ///    cycles per lookup into a post-update estimate trace, and the output
 ///    is regenerated a word at a time as (aux draw < estimate)
 ///    (RandomSource::fill_compare_trace).
+///  * Synchronized XOR (sync_xor_planes): many fresh synchronizers, each
+///    feeding an XOR gate, step together as a bit-sliced saturating
+///    counter over cycle-major planes, 64 lanes per word operation — the
+///    §IV image pipeline's Roberts-cross units (img/sc_pipeline.cpp).
 ///
 /// The SIMD primitives each have an exact scalar twin, so these datapaths
 /// run at every tier, SC_SIMD=off included.
@@ -39,6 +43,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "bitstream/bitstream.hpp"
@@ -46,22 +51,43 @@
 
 namespace sc::kernel {
 
-class PairNibbleTable;
+/// Largest save depth sync_xor_planes accepts.  Its saturating counter
+/// holds s = credit + depth in bit_width(2 * depth) planes — the flops of
+/// hw::synchronizer_netlist's state register — so the cap bounds the
+/// counter at 12 planes.
+inline constexpr unsigned kMaxSyncXorDepth = 2047;
 
-/// The process-wide (state, 4 input bit-pairs) transition table of a
-/// depth-`depth` synchronizer (core::Synchronizer::transition, no flush),
-/// built on first request; state index = credit + depth, so a fresh FSM
-/// starts at index `depth`.  nullptr for depth 0 or above the table cap
-/// (2047).  Callers running many fresh synchronizers fetch it once and
-/// drive it with run_pair_table.
-std::shared_ptr<const PairNibbleTable> synchronizer_table(unsigned depth);
+/// Transposes a 64x64 bit matrix in place: bit j of word i trades places
+/// with bit i of word j.  Converts between stream-major words (one word =
+/// 64 cycles of one stream) and cycle-major planes (one word = one cycle
+/// of 64 streams).
+void transpose64(Bitstream::Word block[64]);
 
-/// Advances `bits` cycles of both packed streams in place through a
-/// nibble table from state index `state`; returns the successor state.
-/// Bits at positions >= `bits` in the final word are preserved.
-unsigned run_pair_table(const PairNibbleTable& table, unsigned state,
-                        Bitstream::Word* xw, Bitstream::Word* yw,
-                        std::size_t bits);
+/// Bit-sliced synchronized XOR: every lane is a fresh depth-`depth`
+/// synchronizer (core::Synchronizer, flush off, credit 0) whose output
+/// pair feeds an XOR gate, and all lanes step together, one cycle per
+/// plane.  `x`, `y` and `out` each hold `cycles` cycle-major planes of
+/// `lane_words` words (plane c starts at word c * lane_words; lane l is
+/// bit l % 64 of word l / 64).  `out` may alias `x` or `y`.
+///
+/// The XOR of a synchronizer's outputs is 1 exactly when the inputs differ
+/// while the credit is saturated on the input's side (pass-through): equal
+/// inputs give equal outputs, a pairing emits (1,1) and a save (0,0).  So
+/// each lane is a saturating up/down counter over [-depth, depth] that
+/// steps up on x & ~y and down on ~x & y, and `out` is its clip event.
+/// Depth 0 is a plain XOR.  Throws std::invalid_argument for depth above
+/// kMaxSyncXorDepth.
+void sync_xor_planes(unsigned depth, const Bitstream::Word* x,
+                     const Bitstream::Word* y, Bitstream::Word* out,
+                     std::size_t lane_words, std::size_t cycles);
+
+/// Per-lane population counts of `cycles` cycle-major planes of
+/// `lane_words` words (the sync_xor_planes layout): counts[l] = number of
+/// planes with lane l set, for every l < lane_words * 64.  A bit-sliced
+/// carry-save adder tree folds 16 planes into the per-lane counters at a
+/// time, so a count costs a fraction of a word operation per cycle.
+void count_lanes(const Bitstream::Word* planes, std::size_t lane_words,
+                 std::size_t cycles, std::uint64_t* counts);
 
 /// Word-level driver of a two-stream FSM.
 class PairKernel {

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "img/image.hpp"
 #include "img/kernels.hpp"
@@ -100,7 +103,75 @@ TEST(Image, ErrorMetrics) {
   EXPECT_DOUBLE_EQ(mean_abs_error(a, a), 0.0);
 }
 
+TEST(Image, SizeMismatchAndZeroCellThrowInEveryBuild) {
+  // Release builds used to read past the smaller buffer (error metrics)
+  // or divide by zero (checkerboard) where only an assert stood guard.
+  const Image a(2, 2, 0.5);
+  const Image wider(3, 2, 0.5);
+  const Image taller(2, 3, 0.5);
+  EXPECT_THROW((void)mean_abs_error(a, wider), std::invalid_argument);
+  EXPECT_THROW((void)mean_abs_error(taller, a), std::invalid_argument);
+  EXPECT_THROW((void)max_abs_error(a, wider), std::invalid_argument);
+  EXPECT_THROW((void)max_abs_error(taller, a), std::invalid_argument);
+  EXPECT_THROW((void)Image::checkerboard(4, 4, 0), std::invalid_argument);
+}
+
 // --- float kernels ---------------------------------------------------------------
+
+/// The float kernels as plain border-clamped loops (every tap through
+/// at_clamped), the form the interior fast path must reproduce bit for bit.
+Image clamped_blur(const Image& input) {
+  Image out(input.width(), input.height());
+  for (std::size_t y = 0; y < input.height(); ++y) {
+    for (std::size_t x = 0; x < input.width(); ++x) {
+      double acc = 0.0;
+      int k = 0;
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          acc += static_cast<double>(kGaussianWeights16[k]) *
+                 input.at_clamped(static_cast<std::ptrdiff_t>(x) + dx,
+                                  static_cast<std::ptrdiff_t>(y) + dy);
+          ++k;
+        }
+      }
+      out.at(x, y) = acc / 16.0;
+    }
+  }
+  return out;
+}
+
+Image clamped_roberts(const Image& input) {
+  Image out(input.width(), input.height());
+  for (std::size_t y = 0; y < input.height(); ++y) {
+    for (std::size_t x = 0; x < input.width(); ++x) {
+      const auto ix = static_cast<std::ptrdiff_t>(x);
+      const auto iy = static_cast<std::ptrdiff_t>(y);
+      const double a = input.at_clamped(ix, iy);
+      const double d = input.at_clamped(ix + 1, iy + 1);
+      const double b = input.at_clamped(ix + 1, iy);
+      const double c = input.at_clamped(ix, iy + 1);
+      out.at(x, y) = 0.5 * (std::abs(a - d) + std::abs(b - c));
+    }
+  }
+  return out;
+}
+
+TEST(ReferenceKernels, InteriorFastPathMatchesClampedLoopsBitForBit) {
+  const std::pair<std::size_t, std::size_t> sizes[] = {
+      {1, 1}, {1, 9}, {9, 1}, {2, 2}, {2, 7},
+      {3, 3}, {5, 3}, {13, 9}, {31, 17}};
+  for (const auto& [w, h] : sizes) {
+    const Image scene = Image::synthetic_scene(w, h, 3 + w * h);
+    // EXPECT_EQ on the pixel vectors compares doubles exactly.
+    EXPECT_EQ(gaussian_blur3(scene).pixels(), clamped_blur(scene).pixels())
+        << w << "x" << h;
+    EXPECT_EQ(roberts_cross(scene).pixels(), clamped_roberts(scene).pixels())
+        << w << "x" << h;
+    EXPECT_EQ(reference_pipeline(scene).pixels(),
+              clamped_roberts(clamped_blur(scene)).pixels())
+        << w << "x" << h;
+  }
+}
 
 TEST(GaussianBlur, PreservesConstantImage) {
   const Image flat(6, 6, 0.3);

@@ -537,5 +537,108 @@ TEST(SimdSelectDecode, MatchesPerBitLoopOnEveryTier) {
   }
 }
 
+// --- bit-sliced synchronized XOR -------------------------------------------
+
+TEST(Transpose64, SwapsRowsAndColumns) {
+  std::mt19937_64 gen(7);
+  std::array<Bitstream::Word, 64> in{};
+  for (auto& w : in) w = gen();
+  std::array<Bitstream::Word, 64> out = in;
+  transpose64(out.data());
+  for (unsigned i = 0; i < 64; ++i) {
+    for (unsigned j = 0; j < 64; ++j) {
+      ASSERT_EQ((out[i] >> j) & 1u, (in[j] >> i) & 1u) << i << "," << j;
+    }
+  }
+  transpose64(out.data());
+  EXPECT_EQ(out, in);
+}
+
+TEST(SyncXorPlanes, MatchesSynchronizerThenXorPerLane) {
+  // Lane l draws x with probability kPx[l % 5] and y with kPy[l % 5]: the
+  // skewed lanes drive even a depth-2047 counter into saturation within
+  // 4096 cycles, the balanced ones wander inside the band.
+  constexpr double kPx[] = {0.5, 0.95, 0.05, 0.7, 0.5};
+  constexpr double kPy[] = {0.5, 0.05, 0.95, 0.4, 0.9};
+  std::mt19937 gen(404);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (const std::size_t lanes : {1, 63, 64, 65, 121, 200}) {
+    const std::size_t lane_words = (lanes + 63) / 64;
+    for (const std::size_t n : {1, 63, 64, 65, 100, 256, 4096}) {
+      std::vector<Bitstream::Word> x(n * lane_words);
+      std::vector<Bitstream::Word> y(n * lane_words);
+      for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const Bitstream::Word bit = Bitstream::Word{1} << (l % 64);
+          if (unit(gen) < kPx[l % 5]) x[c * lane_words + l / 64] |= bit;
+          if (unit(gen) < kPy[l % 5]) y[c * lane_words + l / 64] |= bit;
+        }
+      }
+      for (const unsigned depth : {0u, 1u, 2u, 3u, 7u, 8u, 63u, 64u, 2047u}) {
+        // Odd depths write in place over a copy of y (the documented
+        // alias), even depths into a separate buffer.
+        const bool in_place = depth % 2 == 1;
+        std::vector<Bitstream::Word> out =
+            in_place ? y : std::vector<Bitstream::Word>(y.size());
+        sync_xor_planes(depth, x.data(), in_place ? out.data() : y.data(),
+                        out.data(), lane_words, n);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          // core::Synchronizer rejects depth 0: that lane is a plain XOR.
+          std::unique_ptr<core::Synchronizer> sync;
+          if (depth != 0) {
+            sync = std::make_unique<core::Synchronizer>(
+                core::Synchronizer::Config{depth, false, 0});
+          }
+          for (std::size_t c = 0; c < n; ++c) {
+            const std::size_t i = c * lane_words + l / 64;
+            const bool xb = ((x[i] >> (l % 64)) & 1u) != 0;
+            const bool yb = ((y[i] >> (l % 64)) & 1u) != 0;
+            const core::BitPair o = sync ? sync->step(xb, yb)
+                                         : core::BitPair{xb, yb};
+            ASSERT_EQ(((out[i] >> (l % 64)) & 1u) != 0, o.x != o.y)
+                << "lanes " << lanes << " n " << n << " depth " << depth
+                << " lane " << l << " cycle " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CountLanes, MatchesPerBitCounts) {
+  // Lengths around the 16-plane adder-tree step and the 64-cycle word.
+  std::mt19937_64 gen(505);
+  for (const std::size_t lanes : {1, 63, 64, 65, 121, 200}) {
+    const std::size_t lane_words = (lanes + 63) / 64;
+    for (const std::size_t n : {0, 1, 15, 16, 17, 63, 64, 65, 100, 256, 4096}) {
+      std::vector<Bitstream::Word> planes(n * lane_words);
+      for (auto& w : planes) w = gen() & gen();  // density 1/4
+      std::vector<std::uint64_t> expect(lane_words * 64);
+      for (std::size_t c = 0; c < n; ++c) {
+        for (std::size_t l = 0; l < lane_words * 64; ++l) {
+          expect[l] += (planes[c * lane_words + l / 64] >> (l % 64)) & 1u;
+        }
+      }
+      std::vector<std::uint64_t> got(lane_words * 64, 7);
+      count_lanes(planes.data(), lane_words, n, got.data());
+      EXPECT_EQ(got, expect) << "lanes " << lanes << " n " << n;
+    }
+  }
+  // All ones: every lane's count carries through each counter bit.
+  std::vector<Bitstream::Word> full(4096, ~Bitstream::Word{0});
+  std::vector<std::uint64_t> got(64);
+  count_lanes(full.data(), 1, full.size(), got.data());
+  EXPECT_EQ(got, std::vector<std::uint64_t>(64, 4096));
+}
+
+TEST(SyncXorPlanes, DepthAboveCapThrows) {
+  std::vector<Bitstream::Word> planes(4);
+  EXPECT_THROW(sync_xor_planes(kMaxSyncXorDepth + 1, planes.data(),
+                               planes.data(), planes.data(), 1, 4),
+               std::invalid_argument);
+  EXPECT_NO_THROW(sync_xor_planes(kMaxSyncXorDepth, planes.data(),
+                                  planes.data(), planes.data(), 1, 4));
+}
+
 }  // namespace
 }  // namespace sc::kernel

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
 
 #include "bitstream/synthesis.hpp"
 #include "img/kernels.hpp"
@@ -99,6 +100,10 @@ TEST(ScMedianFilter, OutputDimensionsMatch) {
   const Image filtered = sc_median_filter(input, MedianConfig{});
   EXPECT_EQ(filtered.width(), 6u);
   EXPECT_EQ(filtered.height(), 5u);
+}
+
+TEST(ScMedianFilter, EmptyImageThrowsInEveryBuild) {
+  EXPECT_THROW((void)sc_median_filter(Image()), std::invalid_argument);
 }
 
 TEST(ScMedianFilter, DeeperSynchronizersDoNotHurt) {

@@ -1,16 +1,26 @@
-/// Integration tests for the §IV SC image pipeline: accuracy ordering,
-/// hardware cost ordering, and the paper's headline Table IV relationships.
+/// Integration tests for the §IV SC image pipeline: bit-identity to a
+/// bit-serial oracle of the tile engine, accuracy ordering, hardware cost
+/// ordering, and the paper's headline Table IV relationships.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <vector>
 
+#include "bitstream/bitstream.hpp"
+#include "bitstream/encoding.hpp"
+#include "convert/regenerator.hpp"
+#include "core/synchronizer.hpp"
+#include "engine/batch.hpp"
 #include "engine/session.hpp"
 #include "hw/cost.hpp"
 #include "hw/designs.hpp"
 #include "img/image.hpp"
+#include "img/kernels.hpp"
 #include "img/sc_pipeline.hpp"
+#include "rng/lfsr.hpp"
 
 namespace sc::img {
 namespace {
@@ -194,6 +204,137 @@ TEST(Pipeline, OverheadNetlistsMatchUnitCounts) {
       pipeline_overhead_netlist(Variant::kRegeneration, config);
   // 121 regenerators (16 flops each: counter + hold) + shared 8-bit LFSR.
   EXPECT_EQ(regen_overhead.count(hw::Cell::kDff), 121u * 16u + 8u);
+}
+
+// --- bit-serial oracle of the tile engine ----------------------------------
+
+/// The tile engine's generators, drawn one cycle at a time with next().
+struct SerialGenerators {
+  std::vector<rng::Lfsr> banks;
+  rng::Lfsr gb_select;
+  rng::Lfsr ed_select;
+  rng::Lfsr regen;
+
+  explicit SerialGenerators(const PipelineConfig& config)
+      : gb_select(config.sng_width, config.seed + 101),
+        ed_select(config.sng_width, config.seed + 211),
+        regen(config.sng_width, config.seed + 307) {
+    for (unsigned b = 0; b < config.input_banks; ++b) {
+      banks.emplace_back(config.sng_width, config.seed + 11 * (b + 1));
+    }
+  }
+};
+
+/// One tile, cycle by cycle: comparator SNGs on the shared bank, the blur's
+/// 9-to-1 select, and per output pixel one core::Synchronizer (or none)
+/// in front of each Roberts diagonal's XOR.  Shares no code with the
+/// word-parallel engine's planes, transposes or lane shifts.
+void serial_tile(const Image& input, Variant variant,
+                 const PipelineConfig& config, std::size_t tx, std::size_t ty,
+                 SerialGenerators& gen, Image& output) {
+  const std::size_t n = config.stream_length;
+  const std::size_t t = config.tile;
+  const std::uint32_t natural = std::uint32_t{1} << config.sng_width;
+  const std::size_t banks = gen.banks.size();
+  std::vector<std::vector<std::uint32_t>> trace(banks,
+                                                std::vector<std::uint32_t>(n));
+  for (std::size_t b = 0; b < banks; ++b) {
+    for (std::uint32_t& v : trace[b]) v = gen.banks[b].next();
+  }
+  std::vector<unsigned> pick(n);
+  for (unsigned& k : pick) k = kGaussianSelect16[gen.gb_select.next() & 15u];
+  const std::size_t gb_side = t + 1;
+  std::vector<Bitstream> gb(gb_side * gb_side, Bitstream(n));
+  for (std::size_t gy = 0; gy < gb_side; ++gy) {
+    for (std::size_t gx = 0; gx < gb_side; ++gx) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t ix = gx + pick[i] % 3;  // halo coordinates
+        const std::size_t iy = gy + pick[i] / 3;
+        const double pixel =
+            input.at_clamped(static_cast<std::ptrdiff_t>(tx * t + ix) - 1,
+                             static_cast<std::ptrdiff_t>(ty * t + iy) - 1);
+        gb[gy * gb_side + gx].set(
+            i, trace[(ix + iy) % banks][i] < unipolar_level(pixel, natural));
+      }
+    }
+  }
+  if (variant == Variant::kRegeneration) {
+    gb = convert::regenerate_bus_correlated(gb, gen.regen);
+  }
+  std::vector<bool> sel(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sel[i] = gen.ed_select.next() < natural / 2;
+  }
+  const auto at = [&](std::size_t x, std::size_t y) -> const Bitstream& {
+    return gb[y * gb_side + x];
+  };
+  for (std::size_t y = 0; y < t; ++y) {
+    for (std::size_t x = 0; x < t; ++x) {
+      if (tx * t + x >= input.width() || ty * t + y >= input.height()) {
+        continue;
+      }
+      core::Synchronizer ad({config.sync_depth, false, 0});
+      core::Synchronizer bc({config.sync_depth, false, 0});
+      std::size_t ones = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        core::BitPair g1{at(x, y)[i], at(x + 1, y + 1)[i]};
+        core::BitPair g2{at(x + 1, y)[i], at(x, y + 1)[i]};
+        if (variant == Variant::kSynchronizer) {
+          g1 = ad.step(g1.x, g1.y);
+          g2 = bc.step(g2.x, g2.y);
+        }
+        ones += sel[i] ? (g2.x != g2.y) : (g1.x != g1.y);
+      }
+      output.at(tx * t + x, ty * t + y) =
+          static_cast<double>(ones) / static_cast<double>(n);
+    }
+  }
+}
+
+/// run_pipeline (tiled = false) or run_pipeline_tiled, bit-serially.
+Image serial_pipeline(const Image& input, Variant variant,
+                      const PipelineConfig& config, bool tiled) {
+  Image output(input.width(), input.height());
+  const std::size_t t = config.tile;
+  const std::size_t tiles_x = (input.width() + t - 1) / t;
+  const std::size_t tiles_y = (input.height() + t - 1) / t;
+  SerialGenerators shared(config);
+  for (std::size_t tile = 0; tile < tiles_x * tiles_y; ++tile) {
+    PipelineConfig tile_config = config;
+    if (tiled) tile_config.seed = engine::strided_seed32(config.seed, tile);
+    SerialGenerators own(tile_config);
+    serial_tile(input, variant, tile_config, tile % tiles_x, tile / tiles_x,
+                tiled ? own : shared, output);
+  }
+  return output;
+}
+
+TEST(PipelineOracle, EveryVariantMatchesBitSerialAcrossWordCrossingShifts) {
+  // With tile t the Roberts diagonals sit t + 1 and t + 2 lanes away in a
+  // (t + 1)^2-lane plane: t = 62 and 63 put one shift exactly on a word
+  // boundary, 64 and 70 cross a whole word plus a few bits.  Small tiles
+  // keep the in-word shifts covered too.
+  const Image scene = Image::synthetic_scene(75, 66, 17);
+  engine::Session session({2});
+  for (const std::size_t tile : {3u, 10u, 62u, 63u, 64u, 70u}) {
+    for (const Variant variant : {Variant::kNoManipulation,
+                                  Variant::kRegeneration,
+                                  Variant::kSynchronizer}) {
+      PipelineConfig config = small_config();
+      config.tile = tile;
+      config.stream_length = 100;
+      config.sync_depth = 3;
+      const Image serial = serial_pipeline(scene, variant, config, false);
+      const Image tiled = serial_pipeline(scene, variant, config, true);
+      EXPECT_EQ(run_pipeline(scene, variant, config).output.pixels(),
+                serial.pixels())
+          << to_string(variant) << " tile " << tile;
+      EXPECT_EQ(run_pipeline_tiled(scene, variant, config, session)
+                    .output.pixels(),
+                tiled.pixels())
+          << to_string(variant) << " tile " << tile << " (tiled)";
+    }
+  }
 }
 
 // Invalid configurations throw std::invalid_argument from both entry

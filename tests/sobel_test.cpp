@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "img/image.hpp"
 #include "img/sobel.hpp"
 
@@ -61,6 +63,10 @@ TEST(ScSobel, OutputDimensionsAndDeterminism) {
   EXPECT_EQ(a.output.width(), 9u);
   EXPECT_EQ(a.output.height(), 7u);
   EXPECT_DOUBLE_EQ(mean_abs_error(a.output, b.output), 0.0);
+}
+
+TEST(ScSobel, EmptyImageThrowsInEveryBuild) {
+  EXPECT_THROW((void)run_sc_sobel(Image()), std::invalid_argument);
 }
 
 TEST(ScSobel, ManipulatorNetlistAccounted) {
